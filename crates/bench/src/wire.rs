@@ -426,10 +426,12 @@ pub fn bench_wire(model: Arc<TransformerImputer>, cfg: &WireBenchConfig) -> Wire
         })
         .expect("non-empty stream")
         .clone();
+    // A full-width trace id, so both codecs pay its worst-case size.
+    let trace_id = Some(fmml_obs::hash::SPLITMIX_GAMMA);
     let interval = Frame::Interval {
         seq: 48_271,
         update,
-        trace_id: Some(0x9e37_79b9_7f4a_7c15),
+        trace_id,
     };
     let imputed = Frame::Imputed {
         seq: 48_271,
@@ -444,7 +446,7 @@ pub fn bench_wire(model: Arc<TransformerImputer>, cfg: &WireBenchConfig) -> Wire
         level: "full".into(),
         enforced: true,
         latency_us: 1_234,
-        trace_id: Some(0x9e37_79b9_7f4a_7c15),
+        trace_id,
     };
 
     let interval_json = codec_point(&interval, WireCodec::Json, cfg.iters);

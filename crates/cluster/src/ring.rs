@@ -14,27 +14,10 @@
 //!   of the touched node's points. Everything else stays put, so a
 //!   join/leave migrates `~1/n` of sessions, not all of them.
 
+// Points and keys are FNV-1a hashes finished with the splitmix64
+// avalanche, so FNV's weak low bits don't cluster vnode points.
+use fmml_obs::hash::{fnv1a_extend as fnv, splitmix64_mix as mix, FNV_OFFSET};
 use std::collections::BTreeMap;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(h: u64, data: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Final avalanche (splitmix64 finalizer) so FNV's weak low bits don't
-/// cluster vnode points on the ring.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A seeded consistent-hash ring mapping string keys to named nodes.
 #[derive(Debug, Clone)]

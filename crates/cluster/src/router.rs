@@ -4,7 +4,7 @@
 //! ```text
 //!             ┌──────────────────────── router ────────────────────────┐
 //!  clients ──▶│ frontend reader ─▶ dedup/replay ─▶ per-session backend │──▶ serve node A
-//!   (Hello/   │   (per session)      (ReplayLog)        link           │──▶ serve node B
+//!   (Hello/   │   (per session)    (SessionCore)        link           │──▶ serve node B
 //!  Interval)  │        ▲                                 │            │──▶ serve node C
 //!             │        └── replies ◀── link reader ◀─────┘            │
 //!             │  prober: MetricsDump liveness + queue-depth load      │
@@ -21,10 +21,12 @@
 //!
 //! ## Exactly-once across the router hop
 //!
-//! The router terminates the PR-7 resume protocol: it mints the token,
-//! keeps the per-session [`ReplayLog`] (record-before-send), and on
-//! client reconnect replays past `last_acked` — exactly the single-node
-//! semantics, just moved one hop out. Toward the backends the router
+//! The router terminates the client-facing session protocol by running
+//! the same [`SessionCore`] as a single node: the core mints the token,
+//! validates the `Hello`, keeps each lineage's replay log
+//! (record-before-send), parks disconnected sessions under their TTL and
+//! on reconnect replays past `last_acked` — exactly the single-node
+//! semantics, one hop out. Toward the backends the router
 //! keeps, per session: `pending` (intervals forwarded but unanswered)
 //! and `history` (the last `window_intervals - 1` *ingested* updates
 //! per port — the ones answered Ack/Imputed). A backend's sliding
@@ -34,9 +36,13 @@
 //! already has them) and re-sending `pending` in order: the new
 //! backend's replies are bitwise-identical in every semantic field, the
 //! client sees each seq answered exactly once, and no interval is lost.
-//! Duplicate client retransmits are answered from the replay log
-//! without re-feeding any window; a reply racing a migration is dropped
-//! by the `replay.get(seq)` guard on the new link.
+//! Duplicate client retransmits are answered from the lineage's replay
+//! log without re-feeding any window; a reply racing a migration is
+//! dropped because its seq is already logged.
+//!
+//! What stays here is what only a router has: ring placement, backend
+//! links with their epochs, migration warm-up, the prober and the stuck
+//! sweep. A router `Welcome` carries the deadline its backend announced.
 
 use crate::ring::HashRing;
 use fmml_obs::trace::{self, TraceContext};
@@ -45,21 +51,31 @@ use fmml_serve::protocol::{
     encode_frame_with, write_bytes, Frame, FrameReader, RawFrame, WireCodec, HEADER_LEN,
     MAX_FRAME_LEN,
 };
-use fmml_serve::{Accepted, Conn, Connector, ReplayLog, TcpConnector, TcpTransport, Transport};
+use fmml_serve::session::{
+    await_opening, CoreConfig, Identity, LifecycleMetrics, Lineage, Opening, SessionCore,
+    TokenStyle, CLAIM_WAIT,
+};
+use fmml_serve::{Accepted, Conn, Connector, TcpConnector, TcpTransport, Transport};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-static CL_SESSIONS: Counter = Counter::new("cluster.sessions");
-static CL_ACTIVE: Gauge = Gauge::new("cluster.sessions.active");
+/// Session-lifecycle metrics, bumped by the session core.
+static METRICS: LifecycleMetrics = LifecycleMetrics {
+    sessions: Counter::new("cluster.sessions"),
+    active: Gauge::new("cluster.sessions.active"),
+    parked: Gauge::new("cluster.sessions.parked"),
+    resumes: Counter::new("cluster.resumes"),
+    resume_misses: Counter::new("cluster.resume_misses"),
+    replayed: Counter::new("cluster.replayed"),
+    replies: Counter::new("cluster.replies"),
+    malformed: Counter::new("cluster.malformed"),
+};
 static CL_FORWARDED: Counter = Counter::new("cluster.forwarded");
-static CL_REPLIES: Counter = Counter::new("cluster.replies");
-static CL_REPLAYED: Counter = Counter::new("cluster.replayed");
-static CL_RESUMES: Counter = Counter::new("cluster.resumes");
 static CL_MIGRATIONS: Counter = Counter::new("cluster.migrations");
 static CL_WARMUP: Counter = Counter::new("cluster.warmup_replayed");
 static CL_PROBE_FAILS: Counter = Counter::new("cluster.probe.failures");
@@ -145,44 +161,6 @@ impl Default for RouterConfig {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Per-router counters backing the frontend's `StatsReply`.
-#[derive(Default)]
-struct RCounters {
-    sessions: AtomicU64,
-    active: AtomicU64,
-    accepted: AtomicU64,
-    malformed: AtomicU64,
-    replies: AtomicU64,
-    resumes: AtomicU64,
-    migrations: AtomicU64,
-    replayed: AtomicU64,
-}
-
-impl RCounters {
-    fn stats_frame(&self) -> Frame {
-        Frame::StatsReply {
-            sessions: self.sessions.load(Ordering::Relaxed),
-            active_sessions: self.active.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected: 0,
-            malformed: self.malformed.load(Ordering::Relaxed),
-            replies: self.replies.load(Ordering::Relaxed),
-            batches: 0,
-            deadline_misses: 0,
-            violations: 0,
-            slow_disconnects: 0,
-        }
-    }
-}
-
 /// One backend's registration + health state.
 struct BackendEntry<B> {
     connector: Arc<B>,
@@ -263,28 +241,54 @@ impl<CB: Conn> RouteState<CB> {
 
 struct SessionInner<CF: Conn, CB: Conn> {
     id: u64,
-    token: String,
     /// The client's `Hello` with resume fields stripped — re-sent to
     /// every backend the session is placed on.
     hello: Frame,
     window_intervals: usize,
-    /// Codec negotiated with the client at birth; fixed for the whole
-    /// lineage (resumes restate it) because the replay log stores
-    /// encoded reply bytes.
-    codec: WireCodec,
+    /// Token, codec (fixed at birth), replay log and answered-seq
+    /// watermark — the client-facing exactly-once state.
+    lineage: Lineage,
     deadline_ms: AtomicU64,
     front: Mutex<Option<CF>>,
-    replay: Mutex<ReplayLog>,
-    highest_seq: AtomicU64,
     answered: AtomicU64,
     state: Mutex<RouteState<CB>>,
     done: AtomicBool,
-    parked_at: Mutex<Option<Instant>>,
 }
 
 impl<CF: Conn, CB: Conn> SessionInner<CF, CB> {
     fn done(&self) -> bool {
         self.done.load(Ordering::Acquire)
+    }
+
+    fn route(&self) -> MutexGuard<'_, RouteState<CB>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The current link epoch (bumped by every placement).
+    fn epoch(&self) -> u64 {
+        self.route().epoch
+    }
+
+    /// The resume token: the session's placement key and map key.
+    fn token(&self) -> &str {
+        self.lineage.token().unwrap_or_default()
+    }
+
+    /// Hang up on the client, if one is attached.
+    fn drop_client(&self) {
+        let front = self
+            .front
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(c) = front {
+            c.shutdown_both();
+        }
+    }
+
+    /// Encode a router-originated frame in the client's codec.
+    fn encode(&self, frame: &Frame, max_len: usize) -> Option<Vec<u8>> {
+        encode_frame_with(frame, self.lineage.codec(), max_len).ok()
     }
 
     /// Write `bytes` to the client if one is attached; a failed write
@@ -304,32 +308,31 @@ impl<CF: Conn, CB: Conn> SessionInner<CF, CB> {
         }
     }
 
-    /// Commit a reply: replay log + watermark, *then* the client write
+    /// Commit a reply to the lineage, *then* write it to the client
     /// (record-before-send, like the single-node server).
     fn commit_reply(&self, seq: u64, bytes: &[u8]) {
-        self.highest_seq.fetch_max(seq, Ordering::AcqRel);
-        self.replay
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .record(seq, bytes);
+        self.lineage.commit(seq, bytes);
         self.answered.fetch_add(1, Ordering::Relaxed);
         self.send_client(bytes);
     }
 }
 
-/// Live sessions by resume token.
-type SessionMap<CF, BC> = HashMap<String, Arc<SessionInner<CF, BC>>>;
+type Session<CF, CB> = Arc<SessionInner<CF, CB>>;
+
+/// Live sessions (attached and parked) by resume token.
+type SessionMap<CF, CB> = HashMap<String, Session<CF, CB>>;
 
 struct RouterShared<CF: Conn, B: Connector> {
     cfg: RouterConfig,
     ring: Mutex<HashRing>,
     backends: Mutex<BTreeMap<String, BackendEntry<B>>>,
     sessions: Mutex<SessionMap<CF, B::Conn>>,
+    /// The client-facing session protocol; parked sessions keep their
+    /// backend link (replies still commit to the lineage meanwhile).
+    core: SessionCore<Session<CF, B::Conn>>,
+    migrations: AtomicU64,
     threads: Mutex<Vec<JoinHandle<()>>>,
     shutdown: AtomicBool,
-    counters: RCounters,
-    next_session: AtomicU64,
-    token_seed: Mutex<u64>,
 }
 
 impl<CF: Conn, B: Connector> RouterShared<CF, B> {
@@ -337,12 +340,21 @@ impl<CF: Conn, B: Connector> RouterShared<CF, B> {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    fn mint_token(&self) -> String {
-        let mut seed = self
-            .token_seed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        format!("rtok-{:016x}", splitmix64(&mut seed))
+    fn ring(&self) -> MutexGuard<'_, HashRing> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn backends(&self) -> MutexGuard<'_, BTreeMap<String, BackendEntry<B>>> {
+        self.backends.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn sessions(&self) -> MutexGuard<'_, SessionMap<CF, B::Conn>> {
+        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A snapshot of every tracked session (attached and parked).
+    fn session_list(&self) -> Vec<Session<CF, B::Conn>> {
+        self.sessions().values().cloned().collect()
     }
 
     fn reap_threads(&self) {
@@ -357,12 +369,7 @@ impl<CF: Conn, B: Connector> RouterShared<CF, B> {
     }
 
     fn backends_up(&self) -> usize {
-        self.backends
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .filter(|b| b.up)
-            .count()
+        self.backends().values().filter(|b| b.up).count()
     }
 
     /// Mark `name` failed (dial error or probe miss); past the failure
@@ -371,7 +378,7 @@ impl<CF: Conn, B: Connector> RouterShared<CF, B> {
     fn mark_backend_failed(&self, name: &str) -> bool {
         let mut demoted = false;
         {
-            let mut bs = self.backends.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut bs = self.backends();
             if let Some(b) = bs.get_mut(name) {
                 b.fails = b.fails.saturating_add(1);
                 CL_PROBE_FAILS.inc();
@@ -383,10 +390,7 @@ impl<CF: Conn, B: Connector> RouterShared<CF, B> {
         }
         if demoted {
             log_event!("cluster.backend.down", "backend" = name);
-            self.ring
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(name);
+            self.ring().remove(name);
             CL_BACKENDS_UP.set(self.backends_up() as i64);
         }
         demoted
@@ -417,11 +421,7 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
     /// over migrate onto it.
     pub fn add_backend(&self, name: &str, connector: B) {
         {
-            let mut bs = self
-                .shared
-                .backends
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut bs = self.shared.backends();
             bs.insert(
                 name.to_string(),
                 BackendEntry {
@@ -432,11 +432,7 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
                 },
             );
         }
-        self.shared
-            .ring
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .add(name);
+        self.shared.ring().add(name);
         CL_BACKENDS_UP.set(self.shared.backends_up() as i64);
         log_event!("cluster.backend.join", "backend" = name);
         rebalance(&self.shared);
@@ -445,16 +441,8 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
     /// Gracefully remove a backend: take it off the ring and migrate
     /// its sessions elsewhere (warm-up replay preserves exactly-once).
     pub fn remove_backend(&self, name: &str) {
-        self.shared
-            .ring
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(name);
-        self.shared
-            .backends
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(name);
+        self.shared.ring().remove(name);
+        self.shared.backends().remove(name);
         CL_BACKENDS_UP.set(self.shared.backends_up() as i64);
         log_event!("cluster.backend.leave", "backend" = name);
         rebalance(&self.shared);
@@ -463,9 +451,7 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
     /// Health + load snapshot of every registered backend.
     pub fn backends(&self) -> Vec<BackendInfo> {
         self.shared
-            .backends
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+            .backends()
             .iter()
             .map(|(name, b)| BackendInfo {
                 name: name.clone(),
@@ -477,25 +463,22 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
 
     /// This router's counters as a [`Frame::StatsReply`].
     pub fn stats(&self) -> Frame {
-        self.shared.counters.stats_frame()
+        self.shared.core.counters().stats_frame()
     }
 
     /// `(sessions migrated, sessions resumed, replies replayed)`.
     pub fn cluster_stats(&self) -> (u64, u64, u64) {
+        let c = self.shared.core.counters();
         (
-            self.shared.counters.migrations.load(Ordering::Relaxed),
-            self.shared.counters.resumes.load(Ordering::Relaxed),
-            self.shared.counters.replayed.load(Ordering::Relaxed),
+            self.shared.migrations.load(Ordering::Relaxed),
+            c.resumes.load(Ordering::Relaxed),
+            c.replayed.load(Ordering::Relaxed),
         )
     }
 
     /// Sessions currently tracked (active + parked).
     pub fn session_count(&self) -> usize {
-        self.shared
-            .sessions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.shared.sessions().len()
     }
 
     /// Stop accepting, kill every session and link, join all threads.
@@ -506,33 +489,9 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
             vc.set_auto_advance(true);
         }
         // Wake every blocked reader by killing its connection.
-        let sessions: Vec<_> = {
-            let s = self
-                .shared
-                .sessions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            s.values().cloned().collect()
-        };
-        for s in sessions {
-            s.done.store(true, Ordering::Release);
-            if let Some(c) = s
-                .front
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take()
-            {
-                c.shutdown_both();
-            }
-            if let Some(c) = s
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .writer
-                .take()
-            {
-                c.shutdown_both();
-            }
+        for s in self.shared.session_list() {
+            s.drop_client();
+            retire(&self.shared, &s);
         }
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
@@ -558,10 +517,10 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
         }
         log_event!(
             "cluster.shutdown",
-            "sessions" = self.shared.counters.sessions.load(Ordering::Relaxed),
-            "migrations" = self.shared.counters.migrations.load(Ordering::Relaxed)
+            "sessions" = self.shared.core.counters().sessions.load(Ordering::Relaxed),
+            "migrations" = self.shared.migrations.load(Ordering::Relaxed)
         );
-        self.shared.counters.stats_frame()
+        self.shared.core.counters().stats_frame()
     }
 }
 
@@ -584,17 +543,31 @@ where
     F: Transport,
     B: Connector + Send + Sync + 'static,
 {
-    let token_seed = cfg.ring_seed ^ 0x0be5_5ed5_eed5_eed5;
+    let core = SessionCore::new(CoreConfig {
+        wire: cfg.wire,
+        // Placement keys on the token, so every router lineage is
+        // resumable: parking is unbounded (TTL only) and the replay
+        // window is never zero.
+        replay_window: cfg.replay_window.max(1),
+        max_parked: usize::MAX,
+        parked_ttl: cfg.parked_ttl,
+        claim_wait: CLAIM_WAIT,
+        clock: cfg.clock.clone(),
+        injected_bug: None,
+        tokens: TokenStyle::Router {
+            seed: cfg.ring_seed ^ 0x0be5_5ed5_eed5_eed5,
+        },
+        metrics: &METRICS,
+    });
     let shared = Arc::new(RouterShared {
         ring: Mutex::new(HashRing::new(cfg.ring_seed, cfg.vnodes)),
         cfg,
         backends: Mutex::new(BTreeMap::new()),
         sessions: Mutex::new(HashMap::new()),
+        core,
+        migrations: AtomicU64::new(0),
         threads: Mutex::new(Vec::new()),
         shutdown: AtomicBool::new(false),
-        counters: RCounters::default(),
-        next_session: AtomicU64::new(0),
-        token_seed: Mutex::new(token_seed),
     });
 
     let acceptor = {
@@ -644,50 +617,58 @@ where
     }
 }
 
-/// Dial a backend and answer one `MetricsDump`. Returns the probed
-/// queue depth (load signal) on success. Patience runs on the injected
-/// clock: under a virtual clock a stalled probe times out when the
-/// driver advances time, not when the wall clock does — so the loop
-/// must also honor `abort` (shutdown), or a probe in flight when the
-/// driver stops pumping time would never reach its deadline and the
-/// prober join would hang.
-fn probe_backend<B: Connector>(
+/// Dial `connector`, send `frame` (JSON: nothing is negotiated yet) and
+/// wait at most `patience` for the first frame back. Patience runs on
+/// the injected clock: under a virtual clock a stalled link times out
+/// when the simulation advances time, not when the wall clock does — so
+/// the wait also honors `abort` (shutdown), or a request in flight when
+/// the simulation stops advancing time would never reach its deadline.
+fn request<B: Connector>(
+    cfg: &RouterConfig,
     connector: &B,
-    clock: &Clock,
+    frame: &Frame,
     patience: Duration,
     abort: impl Fn() -> bool,
-) -> Result<i64, ()> {
-    let conn = connector.connect().map_err(|_| ())?;
+) -> Option<(B::Conn, FrameReader<B::Conn>, Frame)> {
+    let mut conn = connector.connect().ok()?;
     let _ = conn.set_read_timeout(Some(Duration::from_millis(2)));
-    let _ = conn.set_write_timeout(Some(patience));
-    let read_half = conn.try_clone().map_err(|_| ())?;
-    let mut writer = conn;
-    let dump =
-        encode_frame_with(&Frame::MetricsDump, WireCodec::Json, MAX_FRAME_LEN).map_err(|_| ())?;
-    write_bytes(&mut writer, &dump).map_err(|_| ())?;
-    let mut reader = FrameReader::new(read_half);
-    let deadline = clock.now() + patience;
+    let _ = conn.set_write_timeout(Some(cfg.write_timeout));
+    let _ = conn.set_nodelay(true);
+    let mut reader = FrameReader::with_max_len(conn.try_clone().ok()?, cfg.backend_frame_len);
+    let bytes = encode_frame_with(frame, WireCodec::Json, cfg.backend_frame_len).ok()?;
+    write_bytes(&mut conn, &bytes).ok()?;
+    let deadline = cfg.clock.now() + patience;
     loop {
         match reader.poll_frame() {
-            Ok(Some(Frame::MetricsReply { json })) => {
-                let load = serde_json::from_str::<serde_json::Value>(&json)
-                    .ok()
-                    .and_then(|v| {
-                        v.get("metrics")
-                            .and_then(|m| m.get("slo.queue_depth"))
-                            .and_then(|d| d.as_i64())
-                    })
-                    .unwrap_or(0);
-                return Ok(load);
-            }
-            Ok(Some(_)) | Ok(None) => {
-                if clock.now() >= deadline || abort() {
-                    return Err(());
-                }
-            }
-            Err(_) => return Err(()),
+            Ok(Some(reply)) => return Some((conn, reader, reply)),
+            Ok(None) if cfg.clock.now() < deadline && !abort() => {}
+            _ => return None,
         }
     }
+}
+
+/// Probe a backend with one `MetricsDump`; returns its queue depth (the
+/// load signal).
+fn probe_backend<B: Connector>(
+    cfg: &RouterConfig,
+    connector: &B,
+    abort: impl Fn() -> bool,
+) -> Option<i64> {
+    let (_, _, reply) = request(
+        cfg,
+        connector,
+        &Frame::MetricsDump,
+        cfg.probe_timeout,
+        abort,
+    )?;
+    let Frame::MetricsReply { json } = reply else {
+        return None;
+    };
+    let dump = serde_json::from_str::<serde_json::Value>(&json).ok();
+    Some(
+        dump.and_then(|v| v.get("metrics")?.get("slo.queue_depth")?.as_i64())
+            .unwrap_or(0),
+    )
 }
 
 /// Health loop: probe every backend each tick, demote after
@@ -700,29 +681,17 @@ fn prober_loop<CF: Conn, B: Connector + Send + Sync + 'static>(shared: &Arc<Rout
             return;
         }
         let snapshot: Vec<(String, Arc<B>, bool)> = {
-            let bs = shared
-                .backends
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let bs = shared.backends();
             bs.iter()
                 .map(|(n, b)| (n.clone(), Arc::clone(&b.connector), b.up))
                 .collect()
         };
         for (name, connector, was_up) in snapshot {
-            let result = probe_backend(
-                connector.as_ref(),
-                &shared.cfg.clock,
-                shared.cfg.probe_timeout,
-                || shared.shutting_down(),
-            );
-            match result {
-                Ok(load) => {
+            match probe_backend(&shared.cfg, connector.as_ref(), || shared.shutting_down()) {
+                Some(load) => {
                     let mut promoted = false;
                     {
-                        let mut bs = shared
-                            .backends
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner);
+                        let mut bs = shared.backends();
                         if let Some(b) = bs.get_mut(&name) {
                             b.fails = 0;
                             b.load = load;
@@ -734,16 +703,12 @@ fn prober_loop<CF: Conn, B: Connector + Send + Sync + 'static>(shared: &Arc<Rout
                     }
                     if promoted {
                         log_event!("cluster.backend.up", "backend" = name.as_str());
-                        shared
-                            .ring
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .add(&name);
+                        shared.ring().add(&name);
                         CL_BACKENDS_UP.set(shared.backends_up() as i64);
                         rebalance(shared);
                     }
                 }
-                Err(()) => {
+                None => {
                     if shared.mark_backend_failed(&name) && was_up {
                         rebalance(shared);
                     }
@@ -757,43 +722,24 @@ fn prober_loop<CF: Conn, B: Connector + Send + Sync + 'static>(shared: &Arc<Rout
     }
 }
 
-/// Drop parked sessions whose TTL (injected clock) expired.
+/// Tear down parked sessions whose TTL (injected clock) expired.
 fn sweep_parked<CF: Conn, B: Connector>(shared: &Arc<RouterShared<CF, B>>) {
-    let now = shared.cfg.clock.now();
-    let expired: Vec<Arc<SessionInner<CF, B::Conn>>> = {
-        let sessions = shared
-            .sessions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        sessions
-            .values()
-            .filter(|s| {
-                s.parked_at
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .is_some_and(|at| now.saturating_duration_since(at) > shared.cfg.parked_ttl)
-            })
-            .cloned()
-            .collect()
-    };
-    for s in expired {
-        s.done.store(true, Ordering::Release);
-        if let Some(c) = s
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .writer
-            .take()
-        {
-            c.shutdown_both();
-        }
-        shared
-            .sessions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&s.token);
+    for s in shared.core.expire() {
+        retire(shared, &s);
         log_event!("cluster.session.expired", "session" = s.id);
     }
+}
+
+/// End a session for good: stop its link and forget it.
+fn retire<CF: Conn, B: Connector>(
+    shared: &RouterShared<CF, B>,
+    session: &SessionInner<CF, B::Conn>,
+) {
+    session.done.store(true, Ordering::Release);
+    if let Some(c) = session.route().writer.take() {
+        c.shutdown_both();
+    }
+    shared.sessions().remove(session.token());
 }
 
 /// Force-migrate any session whose oldest in-flight interval has gone
@@ -808,19 +754,13 @@ fn sweep_parked<CF: Conn, B: Connector>(shared: &Arc<RouterShared<CF, B>>) {
 fn sweep_stuck<CF: Conn, B: Connector + Send + Sync + 'static>(shared: &Arc<RouterShared<CF, B>>) {
     let timeout = shared.cfg.pending_timeout;
     let now = shared.cfg.clock.now();
-    let sessions: Vec<Arc<SessionInner<CF, B::Conn>>> = {
-        let s = shared
-            .sessions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        s.values().cloned().collect()
-    };
+    let sessions = shared.session_list();
     for session in sessions {
         if session.done() {
             continue;
         }
         let epoch = {
-            let st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
+            let st = session.route();
             let aged = st
                 .pending
                 .values()
@@ -865,24 +805,18 @@ fn rebalance<CF: Conn, B: Connector + Send + Sync + 'static>(shared: &Arc<Router
 fn rebalance_sync<CF: Conn, B: Connector + Send + Sync + 'static>(
     shared: &Arc<RouterShared<CF, B>>,
 ) {
-    let sessions: Vec<Arc<SessionInner<CF, B::Conn>>> = {
-        let s = shared
-            .sessions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        s.values().cloned().collect()
-    };
+    let sessions = shared.session_list();
     for session in sessions {
         if session.done() {
             continue;
         }
         let desired = {
-            let ring = shared.ring.lock().unwrap_or_else(PoisonError::into_inner);
-            ring.assign(&session.token).map(String::from)
+            let ring = shared.ring();
+            ring.assign(session.token()).map(String::from)
         };
         let Some(desired) = desired else { continue };
         let epoch = {
-            let st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
+            let st = session.route();
             // Re-place when the assignment moved — or when the session
             // has no live link at all (it was stranded by an empty ring
             // and its assigned member has since come back: the name
@@ -911,59 +845,32 @@ enum DialOutcome<CB: Conn> {
 }
 
 /// Dial `connector` and run the session's `Hello` handshake.
-fn dial_backend<CF: Conn, CB: Conn, B: Connector<Conn = CB>>(
+fn dial_backend<CF: Conn, B: Connector>(
     shared: &RouterShared<CF, B>,
     connector: &B,
     hello: &Frame,
-) -> DialOutcome<CB> {
-    let Ok(conn) = connector.connect() else {
-        return DialOutcome::Failed;
-    };
-    let _ = conn.set_read_timeout(Some(Duration::from_millis(2)));
-    let _ = conn.set_write_timeout(Some(shared.cfg.write_timeout));
-    let _ = conn.set_nodelay(true);
-    let Ok(read_half) = conn.try_clone() else {
-        return DialOutcome::Failed;
-    };
-    let mut reader = FrameReader::with_max_len(read_half, shared.cfg.backend_frame_len);
-    let mut writer = conn;
-    // The Hello itself always travels as JSON (pre-negotiation); its
-    // `codecs` field carries the advertisement.
-    let Ok(hello_bytes) = encode_frame_with(hello, WireCodec::Json, shared.cfg.backend_frame_len)
-    else {
-        return DialOutcome::Failed;
-    };
-    if write_bytes(&mut writer, &hello_bytes).is_err() {
-        return DialOutcome::Failed;
-    }
-    let deadline = shared.cfg.clock.now() + shared.cfg.dial_timeout;
-    loop {
-        match reader.poll_frame() {
-            Ok(Some(Frame::Welcome {
+) -> DialOutcome<B::Conn> {
+    let cfg = &shared.cfg;
+    match request(cfg, connector, hello, cfg.dial_timeout, || {
+        shared.shutting_down()
+    }) {
+        Some((
+            writer,
+            reader,
+            Frame::Welcome {
                 deadline_ms, codec, ..
-            })) => {
-                let codec = codec
-                    .as_deref()
-                    .and_then(WireCodec::parse)
-                    .unwrap_or_default();
-                return DialOutcome::Ok {
-                    writer,
-                    reader,
-                    deadline_ms,
-                    codec,
-                };
-            }
-            Ok(Some(Frame::Error { code, .. })) if code == "draining" => {
-                return DialOutcome::Draining;
-            }
-            Ok(Some(_)) => return DialOutcome::Failed,
-            Ok(None) => {
-                if shared.cfg.clock.now() >= deadline || shared.shutting_down() {
-                    return DialOutcome::Failed;
-                }
-            }
-            Err(_) => return DialOutcome::Failed,
-        }
+            },
+        )) => DialOutcome::Ok {
+            writer,
+            reader,
+            deadline_ms,
+            codec: codec
+                .as_deref()
+                .and_then(WireCodec::parse)
+                .unwrap_or_default(),
+        },
+        Some((_, _, Frame::Error { code, .. })) if code == "draining" => DialOutcome::Draining,
+        _ => DialOutcome::Failed,
     }
 }
 
@@ -984,15 +891,12 @@ fn migrate<CF: Conn, B: Connector + Send + Sync + 'static>(
         if shared.shutting_down() || session.done() {
             return;
         }
-        {
-            let st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
-            if st.epoch != from_epoch {
-                return;
-            }
+        if session.epoch() != from_epoch {
+            return;
         }
         let target = {
-            let ring = shared.ring.lock().unwrap_or_else(PoisonError::into_inner);
-            ring.assign(&session.token).map(String::from)
+            let ring = shared.ring();
+            ring.assign(session.token()).map(String::from)
         };
         let Some(target) = target else {
             // No live backend. Do NOT spin here: migrate runs on
@@ -1004,7 +908,7 @@ fn migrate<CF: Conn, B: Connector + Send + Sync + 'static>(
             // `sweep_stuck`) re-places it: a session that *looks*
             // placed (name set, dead writer) would be skipped forever.
             {
-                let mut st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut st = session.route();
                 if st.epoch == from_epoch {
                     if let Some(w) = st.writer.take() {
                         w.shutdown_both();
@@ -1016,10 +920,7 @@ fn migrate<CF: Conn, B: Connector + Send + Sync + 'static>(
             return;
         };
         let connector = {
-            let bs = shared
-                .backends
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let bs = shared.backends();
             bs.get(&target).map(|b| Arc::clone(&b.connector))
         };
         let Some(connector) = connector else { continue };
@@ -1036,11 +937,7 @@ fn migrate<CF: Conn, B: Connector + Send + Sync + 'static>(
                 // A draining node refuses new placements: treat like a
                 // leave for this session's range.
                 log_event!("cluster.backend.draining", "backend" = target.as_str());
-                shared
-                    .ring
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .remove(&target);
+                shared.ring().remove(&target);
                 continue;
             }
             DialOutcome::Ok {
@@ -1051,7 +948,7 @@ fn migrate<CF: Conn, B: Connector + Send + Sync + 'static>(
             } => {
                 session.deadline_ms.store(deadline_ms, Ordering::Relaxed);
                 let epoch = {
-                    let mut st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
+                    let mut st = session.route();
                     if st.epoch != from_epoch {
                         writer.shutdown_both();
                         return;
@@ -1120,7 +1017,7 @@ fn migrate<CF: Conn, B: Connector + Send + Sync + 'static>(
                 // count as migrations.
                 if epoch > 1 {
                     CL_MIGRATIONS.inc();
-                    shared.counters.migrations.fetch_add(1, Ordering::Relaxed);
+                    shared.migrations.fetch_add(1, Ordering::Relaxed);
                 }
                 log_event!(
                     "cluster.migrate",
@@ -1156,8 +1053,7 @@ fn link_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
         }
         match reader.poll_frame_raw() {
             Ok(None) => {
-                let st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
-                if st.epoch != my_epoch {
+                if session.epoch() != my_epoch {
                     return;
                 }
             }
@@ -1170,11 +1066,8 @@ fn link_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
                 if shared.shutting_down() || session.done() {
                     return;
                 }
-                {
-                    let st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
-                    if st.epoch != my_epoch {
-                        return;
-                    }
+                if session.epoch() != my_epoch {
+                    return;
                 }
                 migrate(shared, session, my_epoch);
                 return;
@@ -1219,11 +1112,8 @@ fn handle_backend_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
                 // A frame that framed correctly but fails to decode
                 // means the link is corrupt: repair exactly like a read
                 // error.
-                {
-                    let st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
-                    if st.epoch != my_epoch {
-                        return false;
-                    }
+                if session.epoch() != my_epoch {
+                    return false;
                 }
                 if !shared.shutting_down() && !session.done() {
                     migrate(shared, session, my_epoch);
@@ -1234,7 +1124,7 @@ fn handle_backend_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
     };
 
     {
-        let mut st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut st = session.route();
         if st.epoch != my_epoch {
             return false;
         }
@@ -1242,13 +1132,7 @@ fn handle_backend_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
             // Warm-up echo: the client was answered long ago.
             return true;
         }
-        let already_answered = session
-            .replay
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(seq)
-            .is_some();
-        if already_answered {
+        if session.lineage.logged(seq).is_some() {
             // Raced a migration: the old link's reply landed first.
             return true;
         }
@@ -1270,8 +1154,7 @@ fn handle_backend_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
         }
     }
     session.commit_reply(seq, raw.bytes());
-    CL_REPLIES.inc();
-    shared.counters.replies.fetch_add(1, Ordering::Relaxed);
+    shared.core.reply_sent();
     true
 }
 
@@ -1305,7 +1188,7 @@ fn route_control_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
         },
         Frame::ByeAck { .. } => {
             let remaining = {
-                let st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
+                let st = session.route();
                 if st.epoch != my_epoch {
                     return ControlRouted::Exit;
                 }
@@ -1315,26 +1198,11 @@ fn route_control_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
                 answered: session.answered.load(Ordering::Relaxed),
                 remaining,
             };
-            if let Ok(bytes) = encode_frame_with(&ba, session.codec, shared.cfg.client_frame_len) {
+            if let Some(bytes) = session.encode(&ba, shared.cfg.client_frame_len) {
                 session.send_client(&bytes);
             }
-            session.done.store(true, Ordering::Release);
-            if let Some(c) = session
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .writer
-                .take()
-            {
-                c.shutdown_both();
-            }
-            shared
-                .sessions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(&session.token);
-            CL_ACTIVE.add(-1);
-            shared.counters.active.fetch_sub(1, Ordering::Relaxed);
+            retire(shared, session);
+            shared.core.close(&session.lineage);
             log_event!("cluster.session.close", "session" = session.id);
             ControlRouted::Exit
         }
@@ -1346,7 +1214,7 @@ fn route_control_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
                 "code" = code.as_str()
             );
             let cur = {
-                let st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
+                let st = session.route();
                 st.epoch
             };
             if cur == my_epoch && !shared.shutting_down() && !session.done() {
@@ -1359,190 +1227,113 @@ fn route_control_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
     }
 }
 
-/// One client connection: pre-handshake probes, `Hello` (fresh or
-/// resume), then the forwarding loop.
+/// One client connection: the session core's handshake (probes, `Hello`
+/// validation, fresh or resumed lineage), then the forwarding loop.
 fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
     shared: &Arc<RouterShared<CF, B>>,
     conn: CF,
 ) {
     let cfg = &shared.cfg;
-    let _ = conn.set_read_timeout(Some(cfg.read_timeout));
-    let _ = conn.set_write_timeout(Some(cfg.write_timeout));
-    let _ = conn.set_nodelay(true);
-    let Ok(read_half) = conn.try_clone() else {
+    let Some((opening, conn, reader)) = await_opening(
+        &shared.core,
+        conn,
+        cfg.read_timeout,
+        cfg.write_timeout,
+        cfg.client_frame_len,
+        || shared.shutting_down(),
+    ) else {
         return;
     };
-    let mut reader = FrameReader::with_max_len(read_half, cfg.client_frame_len);
-    let mut writer = conn;
-
-    // Pre-handshake: answer Stats / MetricsDump probes until a Hello.
-    // No codec is negotiated yet, so these travel as JSON.
-    let hello = loop {
-        if shared.shutting_down() {
-            return;
-        }
-        match reader.poll_frame() {
-            Ok(Some(Frame::Stats)) => {
-                let Ok(b) = encode_frame_with(
-                    &shared.counters.stats_frame(),
-                    WireCodec::Json,
-                    cfg.client_frame_len,
-                ) else {
-                    return;
-                };
-                if write_bytes(&mut writer, &b).is_err() {
-                    return;
-                }
+    let session = match opening {
+        Opening::Resume {
+            id,
+            last_acked,
+            state,
+        } => resume_client(shared, id, last_acked, state, conn),
+        Opening::Fresh {
+            id,
+            identity,
+            lineage,
+            expired,
+        } => {
+            if let Some(stale) = expired {
+                retire(shared, &stale);
             }
-            Ok(Some(Frame::MetricsDump)) => {
-                let reply = Frame::MetricsReply {
-                    json: fmml_obs::dump_json(),
-                };
-                let Ok(b) = encode_frame_with(&reply, WireCodec::Json, cfg.client_frame_len) else {
-                    return;
-                };
-                if write_bytes(&mut writer, &b).is_err() {
-                    return;
-                }
-            }
-            Ok(Some(f)) => break f,
-            Ok(None) => continue,
-            Err(_) => return,
+            place_client(shared, id, identity, lineage, conn)
         }
     };
-    let Frame::Hello {
-        tenant,
-        ports,
-        queues,
-        interval_len,
-        window_intervals,
-        resume_token,
-        last_acked,
-        codecs,
-    } = hello
-    else {
-        shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-        let err = Frame::Error {
-            code: "bad_handshake".into(),
-            message: format!("expected Hello, got {}", hello.tag()),
-        };
-        if let Ok(b) = encode_frame_with(&err, WireCodec::Json, cfg.client_frame_len) {
-            let _ = write_bytes(&mut writer, &b);
-        }
-        return;
-    };
-
-    // Resume: re-attach to a tracked session with a matching identity.
-    if let Some(tok) = resume_token.as_ref() {
-        let existing = {
-            let sessions = shared
-                .sessions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            sessions.get(tok).cloned()
-        };
-        if let Some(session) = existing.filter(|s| {
-            !s.done()
-                && matches!(
-                    &s.hello,
-                    Frame::Hello {
-                        tenant: t,
-                        ports: p,
-                        queues: q,
-                        interval_len: il,
-                        window_intervals: wi,
-                        ..
-                    } if *t == tenant && *p == ports && *q == queues
-                        && *il == interval_len && *wi == window_intervals
-                )
-        }) {
-            {
-                let mut front = session.front.lock().unwrap_or_else(PoisonError::into_inner);
-                if let Some(old) = front.take() {
-                    old.shutdown_both();
-                }
-                *front = Some(writer);
-            }
-            let was_parked = session
-                .parked_at
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take()
-                .is_some();
-            if was_parked {
-                CL_ACTIVE.add(1);
-                shared.counters.active.fetch_add(1, Ordering::Relaxed);
-            }
-            CL_RESUMES.inc();
-            shared.counters.resumes.fetch_add(1, Ordering::Relaxed);
-            let hw = session.highest_seq.load(Ordering::Acquire);
-            let welcome = Frame::Welcome {
-                session: session.id,
-                deadline_ms: session.deadline_ms.load(Ordering::Relaxed),
-                resume_token: Some(session.token.clone()),
-                resumed: Some(true),
-                resume_seq: Some(hw),
-                // The lineage keeps the codec it negotiated at birth
-                // (replayed bytes are pre-encoded); the Welcome — itself
-                // JSON — restates it rather than renegotiating.
-                codec: Some(session.codec.label().into()),
-            };
-            if let Ok(b) = encode_frame_with(&welcome, WireCodec::Json, cfg.client_frame_len) {
-                if !session.send_client(&b) {
-                    return;
-                }
-            }
-            // Replay everything past the client's watermark.
-            let missed: Vec<(u64, Vec<u8>)> = {
-                let replay = session
-                    .replay
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                replay.since(last_acked.unwrap_or(0))
-            };
-            for (_seq, bytes) in missed {
-                CL_REPLAYED.inc();
-                shared.counters.replayed.fetch_add(1, Ordering::Relaxed);
-                shared.counters.replies.fetch_add(1, Ordering::Relaxed);
-                if !session.send_client(&bytes) {
-                    return;
-                }
-            }
-            log_event!("cluster.session.resume", "session" = session.id);
-            client_loop(shared, &session, reader);
-            return;
-        }
-        // Unknown/expired/mismatched token: fall through to fresh.
+    if let Some(session) = session {
+        client_loop(shared, &session, reader);
     }
+}
 
-    // Fresh session: mint a token, place it on the ring, answer Welcome.
-    let id = shared.next_session.fetch_add(1, Ordering::Relaxed) + 1;
-    let token = shared.mint_token();
-    // Negotiate the client-facing codec, and advertise binary to the
-    // backends only for binary sessions — that way a session's reply
-    // bytes are produced in its own codec end-to-end and pass through
-    // this router verbatim.
-    let codec = WireCodec::negotiate(cfg.wire, codecs.as_deref());
-    let hello_template = Frame::Hello {
-        tenant,
-        ports,
-        queues,
-        interval_len,
-        window_intervals,
+/// A resumed lineage: re-attach the client, then send the core's
+/// `Welcome` and replay. The backend link kept running while the client
+/// was away, so there is nothing in flight to drain here.
+fn resume_client<CF: Conn, B: Connector + Send + Sync + 'static>(
+    shared: &Arc<RouterShared<CF, B>>,
+    id: u64,
+    last_acked: Option<u64>,
+    session: Session<CF, B::Conn>,
+    conn: CF,
+) -> Option<Session<CF, B::Conn>> {
+    if let Some(old) = session
+        .front
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .replace(conn)
+    {
+        old.shutdown_both();
+    }
+    let replay = shared.core.resume(
+        id,
+        &session.lineage,
+        last_acked,
+        session.deadline_ms.load(Ordering::Relaxed),
+    );
+    if !session.send_client(&replay.welcome) {
+        park(shared, &session);
+        return None;
+    }
+    let sent = replay
+        .replies
+        .iter()
+        .take_while(|bytes| session.send_client(bytes))
+        .count();
+    shared.core.resumed(sent as u64);
+    log_event!("cluster.session.resume", "session" = session.id);
+    Some(session)
+}
+
+/// A fresh lineage: place it on the ring, then send the core's
+/// `Welcome` (carrying the deadline the backend announced).
+fn place_client<CF: Conn, B: Connector + Send + Sync + 'static>(
+    shared: &Arc<RouterShared<CF, B>>,
+    id: u64,
+    identity: Identity,
+    lineage: Lineage,
+    conn: CF,
+) -> Option<Session<CF, B::Conn>> {
+    // Advertise binary to the backends only for binary sessions — that
+    // way a session's reply bytes are produced in its own codec
+    // end-to-end and pass through this router verbatim.
+    let hello = Frame::Hello {
+        tenant: identity.tenant,
+        ports: identity.ports,
+        queues: identity.queues,
+        interval_len: identity.interval_len,
+        window_intervals: identity.window_intervals,
         resume_token: None,
         last_acked: None,
-        codecs: (codec == WireCodec::Bin1).then(WireCodec::advertise),
+        codecs: (lineage.codec() == WireCodec::Bin1).then(WireCodec::advertise),
     };
     let session = Arc::new(SessionInner {
         id,
-        token: token.clone(),
-        hello: hello_template,
-        window_intervals,
-        codec,
+        hello,
+        window_intervals: identity.window_intervals,
+        lineage,
         deadline_ms: AtomicU64::new(0),
-        front: Mutex::new(Some(writer)),
-        replay: Mutex::new(ReplayLog::new(shared.cfg.replay_window)),
-        highest_seq: AtomicU64::new(0),
+        front: Mutex::new(Some(conn)),
         answered: AtomicU64::new(0),
         state: Mutex::new(RouteState {
             backend: String::new(),
@@ -1555,73 +1346,39 @@ fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
             bye: false,
         }),
         done: AtomicBool::new(false),
-        parked_at: Mutex::new(None),
     });
     shared
-        .sessions
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(token.clone(), Arc::clone(&session));
-    CL_SESSIONS.inc();
-    CL_ACTIVE.add(1);
-    shared.counters.sessions.fetch_add(1, Ordering::Relaxed);
-    shared.counters.active.fetch_add(1, Ordering::Relaxed);
+        .sessions()
+        .insert(session.token().to_string(), Arc::clone(&session));
 
     migrate(shared, &session, 0);
     if shared.shutting_down() || session.done() {
-        return;
+        return None;
     }
-    let welcome = Frame::Welcome {
-        session: id,
-        deadline_ms: session.deadline_ms.load(Ordering::Relaxed),
-        resume_token: Some(token),
-        resumed: Some(false),
-        resume_seq: None,
-        codec: Some(session.codec.label().into()),
-    };
-    // The Welcome itself is always JSON so a pre-v2 client can read the
-    // verdict; everything after it speaks the negotiated codec.
-    if let Ok(b) = encode_frame_with(&welcome, WireCodec::Json, cfg.client_frame_len) {
-        if !session.send_client(&b) {
-            park(shared, &session);
-            return;
-        }
+    let welcome = shared.core.welcome(
+        id,
+        &session.lineage,
+        session.deadline_ms.load(Ordering::Relaxed),
+    );
+    if !session.send_client(&welcome) {
+        park(shared, &session);
+        return None;
     }
     log_event!(
         "cluster.session.open",
         "session" = id,
-        "backend" = session
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .backend
-            .as_str()
+        "backend" = session.route().backend.as_str()
     );
-    client_loop(shared, &session, reader);
+    Some(session)
 }
 
-/// Detach the client connection, keeping the session resumable.
-fn park<CF: Conn, B: Connector>(
-    shared: &Arc<RouterShared<CF, B>>,
-    session: &Arc<SessionInner<CF, B::Conn>>,
-) {
-    if let Some(c) = session
-        .front
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take()
-    {
-        c.shutdown_both();
-    }
-    let mut parked = session
-        .parked_at
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    if parked.is_none() {
-        *parked = Some(shared.cfg.clock.now());
-        CL_ACTIVE.add(-1);
-        shared.counters.active.fetch_sub(1, Ordering::Relaxed);
-        log_event!("cluster.session.park", "session" = session.id);
+/// Detach the client connection and park the session in the core,
+/// keeping it resumable (its backend link keeps committing replies).
+fn park<CF: Conn, B: Connector>(shared: &Arc<RouterShared<CF, B>>, session: &Session<CF, B::Conn>) {
+    session.drop_client();
+    log_event!("cluster.session.park", "session" = session.id);
+    for evicted in shared.core.park(&session.lineage, Arc::clone(session)) {
+        retire(shared, &evicted);
     }
 }
 
@@ -1636,9 +1393,10 @@ fn park<CF: Conn, B: Connector>(
 /// the hot path.
 fn client_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
     shared: &Arc<RouterShared<CF, B>>,
-    session: &Arc<SessionInner<CF, B::Conn>>,
+    session: &Session<CF, B::Conn>,
     mut reader: FrameReader<CF>,
 ) {
+    let core = &shared.core;
     loop {
         if shared.shutting_down() || session.done() {
             return;
@@ -1670,34 +1428,26 @@ fn client_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
                 update,
                 trace_id,
             } => {
-                shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
+                core.counters().accepted.fetch_add(1, Ordering::Relaxed);
                 let port = update.port;
                 // The client reader's cap is normally below the backend
                 // link's raised cap; guard the inverted-config case
                 // rather than feeding the backend a frame its reader
                 // must reject.
                 if raw.bytes().len() > HEADER_LEN + shared.cfg.backend_frame_len {
-                    shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
+                    core.malformed();
                     continue;
                 }
                 let bytes = raw.into_bytes();
                 // Duplicate retransmit of an answered seq: replay from
                 // the log, never re-forward (no window is fed twice).
-                if seq <= session.highest_seq.load(Ordering::Acquire) {
-                    let logged = session
-                        .replay
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .get(seq);
-                    if let Some(b) = logged {
-                        CL_REPLAYED.inc();
-                        shared.counters.replayed.fetch_add(1, Ordering::Relaxed);
-                        shared.counters.replies.fetch_add(1, Ordering::Relaxed);
-                        session.send_client(&b);
-                        continue;
+                if let Some(b) = core.duplicate(&session.lineage, seq) {
+                    if session.send_client(&b) {
+                        core.reply_sent();
                     }
+                    continue;
                 }
-                let mut st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut st = session.route();
                 if st.pending.contains_key(&seq) {
                     // Already in flight (client retransmit racing the
                     // backend's reply): drop, the reply will arrive.
@@ -1722,26 +1472,8 @@ fn client_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
                     }
                 }
             }
-            Frame::Stats => {
-                if let Ok(b) = encode_frame_with(
-                    &shared.counters.stats_frame(),
-                    session.codec,
-                    shared.cfg.client_frame_len,
-                ) {
-                    session.send_client(&b);
-                }
-            }
-            Frame::MetricsDump => {
-                let reply = Frame::MetricsReply {
-                    json: fmml_obs::dump_json(),
-                };
-                if let Ok(b) = encode_frame_with(&reply, session.codec, shared.cfg.client_frame_len)
-                {
-                    session.send_client(&b);
-                }
-            }
             Frame::Bye => {
-                let mut st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut st = session.route();
                 st.bye = true;
                 if let Ok(bye) =
                     encode_frame_with(&Frame::Bye, st.link, shared.cfg.backend_frame_len)
@@ -1755,8 +1487,13 @@ fn client_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
                 // Keep reading: the ByeAck arrives via the link reader
                 // and flips `done`.
             }
-            _ => {
-                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
+            other => {
+                let reply = core
+                    .probe(&other)
+                    .unwrap_or_else(|| core.unexpected(&other));
+                if let Some(b) = session.encode(&reply, shared.cfg.client_frame_len) {
+                    session.send_client(&b);
+                }
             }
         }
     }

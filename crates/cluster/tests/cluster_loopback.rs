@@ -478,6 +478,65 @@ fn router_answers_probes_locally() {
     a.shutdown();
 }
 
+/// Regression: a `Hello` with invalid geometry is refused by the router
+/// itself (`Error{bad_handshake}`, the single-node answer) before any
+/// placement. Forwarding it instead made every backend refuse the
+/// handshake, each refusal counted as a dial failure, and the router
+/// demoted both healthy backends and answered the client `Welcome`.
+#[test]
+fn bad_geometry_hello_is_refused_without_demoting_backends() {
+    let model = model();
+    let rt = fmml_cluster::spawn(RouterConfig {
+        // No probe round runs during the test, so a wrongly demoted
+        // backend cannot be re-promoted before the assertion.
+        probe_interval: Duration::from_secs(30),
+        probe_failures: 2,
+        dial_timeout: Duration::from_millis(500),
+        ..RouterConfig::default()
+    })
+    .expect("spawn router");
+    let a = backend(&model);
+    let b = backend(&model);
+    for (name, node) in [("a", &a), ("b", &b)] {
+        rt.add_backend(
+            name,
+            TcpConnector {
+                addr: node.addr().to_string(),
+            },
+        );
+    }
+
+    let (mut tx, mut rx) = connect(rt.addr());
+    write_frame(
+        &mut tx,
+        &Frame::Hello {
+            tenant: "test".into(),
+            ports: vec![0],
+            queues: 0,
+            interval_len: INTERVAL_LEN,
+            window_intervals: WINDOW_INTERVALS,
+            resume_token: None,
+            last_acked: None,
+            codecs: None,
+        },
+    )
+    .unwrap();
+    match rx.read_frame().unwrap() {
+        Frame::Error { code, .. } => assert_eq!(code, "bad_handshake"),
+        other => panic!("expected Error{{bad_handshake}}, got {other:?}"),
+    }
+    let infos = rt.backends();
+    assert_eq!(infos.len(), 2);
+    assert!(
+        infos.iter().all(|b| b.up),
+        "a refused Hello demoted backends: {infos:?}"
+    );
+    // The router is left running: joining its prober would wait out the
+    // 30 s probe interval.
+    a.shutdown();
+    b.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Raised-cap regression: frames past the default 1 MiB cap must cross
 // the router intact, including the migration warm-up replay. The model

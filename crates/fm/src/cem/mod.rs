@@ -361,14 +361,7 @@ pub fn enforce_batch(
 /// FNV-1a over a byte slice: the workspace's stable, dependency-free
 /// fingerprint (golden-trace tests, corrected-output hashes in
 /// `BENCH_cem_parallel.json`, CI's sequential-vs-parallel assertion).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use fmml_obs::hash::fnv1a;
 
 /// FNV-1a fingerprint of a `[queues][len]` corrected window (or any
 /// family of `u32` series): length-prefixed little-endian encoding, so

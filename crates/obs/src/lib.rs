@@ -16,6 +16,8 @@
 //!   redirects to a file. When disabled, [`log_event!`] evaluates
 //!   *nothing* — one relaxed atomic load guards the whole call.
 //!
+//! The workspace's one FNV-1a and one splitmix64 live in [`hash`].
+//!
 //! [`snapshot()`] freezes every registered metric into a
 //! [`MetricsReport`] that renders as a deterministic (name-sorted) JSON
 //! object or a human-readable table.
@@ -43,6 +45,7 @@
 //! ```
 
 pub mod clock;
+pub mod hash;
 pub mod hist;
 pub(crate) mod json;
 pub mod registry;

@@ -6,7 +6,7 @@
 //! Transformer+KAL model and the CEM degradation ladder, and answers
 //! inside the 50 ms wire period.
 //!
-//! Three pieces, all std-only (no async runtime — the vendored-deps
+//! Four pieces, all std-only (no async runtime — the vendored-deps
 //! constraint is a feature here: the whole serving stack is plain
 //! threads and sockets):
 //!
@@ -21,6 +21,9 @@
 //!   `enforce_degraded_batch` calls over one shared solution cache.
 //!   Admission control bounds each session's in-flight budget (`Busy`),
 //!   slow readers are disconnected, shutdown drains gracefully.
+//! * [`session`] — the sans-IO session-protocol core ([`SessionCore`]):
+//!   handshake, resume tokens, parking, replay and exactly-once
+//!   bookkeeping, shared by [`server`] and the `fmml-cluster` router.
 //! * [`loadgen`] — trace-replay load generator
 //!   ([`LoadgenConfig`], [`run_loadgen`], [`LoadReport`]): M concurrent
 //!   clients replaying `netsim` telemetry with optional chaos
@@ -36,6 +39,7 @@ pub mod loadgen;
 pub mod protocol;
 pub mod replay_log;
 pub mod server;
+pub mod session;
 pub mod sim;
 pub mod transport;
 
@@ -43,7 +47,7 @@ pub use loadgen::{
     run as run_loadgen, run_with as run_loadgen_with, ChaosConfig, LoadReport, LoadgenConfig,
 };
 pub use protocol::{Frame, WireCodec, WireError, MAX_FRAME_LEN};
-pub use replay_log::ReplayLog;
-pub use server::{spawn, spawn_with, ProtocolBug, ServerConfig, ServerHandle};
+pub use server::{spawn, spawn_with, ServerConfig, ServerHandle};
+pub use session::{ProtocolBug, SessionCore};
 pub use sim::{FaultCounts, FaultProfile, SimConn, SimConnector, SimNet, SimTransport};
 pub use transport::{Accepted, Conn, Connector, TcpConnector, TcpTransport, Transport};

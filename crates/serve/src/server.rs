@@ -33,10 +33,11 @@
 //! readers stop ingesting and wait for their in-flight replies, workers
 //! exit once the queue is empty and every reader is gone.
 
-use crate::protocol::{
-    encode_frame_with, write_bytes, Frame, FrameReader, WireCodec, WireError, MAX_FRAME_LEN,
+use crate::protocol::{encode_frame_with, write_bytes, Frame, WireCodec, WireError, MAX_FRAME_LEN};
+use crate::session::{
+    await_opening, CoreConfig, Counters, Identity, LifecycleMetrics, Lineage, Opening, ProtocolBug,
+    SessionCore, TokenStyle,
 };
-use crate::replay_log::ReplayLog;
 use crate::transport::{Accepted, Conn, TcpTransport, Transport};
 use fmml_core::streaming::{PreparedWindow, StreamOptions, StreamingImputer};
 use fmml_core::transformer_imputer::TransformerImputer;
@@ -50,17 +51,24 @@ use fmml_obs::{log_event, Clock, Counter, FloatGauge, Gauge, Histogram, Unit};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-static SESSIONS: Counter = Counter::new("serve.sessions");
-static SESSIONS_ACTIVE: Gauge = Gauge::new("serve.sessions.active");
+/// Session-lifecycle metrics, bumped by the session core.
+static METRICS: LifecycleMetrics = LifecycleMetrics {
+    sessions: Counter::new("serve.sessions"),
+    active: Gauge::new("serve.sessions.active"),
+    parked: Gauge::new("serve.sessions.parked"),
+    resumes: Counter::new("serve.resumes"),
+    resume_misses: Counter::new("serve.resume_misses"),
+    replayed: Counter::new("serve.replayed"),
+    replies: Counter::new("serve.replies"),
+    malformed: Counter::new("serve.malformed"),
+};
 static ACCEPTED: Counter = Counter::new("serve.accepted");
 static REJECTED: Counter = Counter::new("serve.rejected");
-static MALFORMED: Counter = Counter::new("serve.malformed");
-static REPLIES: Counter = Counter::new("serve.replies");
 static BATCHES: Counter = Counter::new("serve.batches");
 static BATCH_SIZE: Histogram = Histogram::new("serve.batch_size", Unit::Count);
 static LATENCY_US: Histogram = Histogram::new("serve.latency_us", Unit::Micros);
@@ -68,15 +76,11 @@ static DEADLINE_MISS: Counter = Counter::new("serve.deadline_miss");
 static VIOLATIONS: Counter = Counter::new("serve.violations");
 static SLOW_DISCONNECTS: Counter = Counter::new("serve.slow_disconnects");
 
-// Supervision and resumption.
+// Supervision.
 static WORKER_PANICS: Counter = Counter::new("serve.worker.panics");
 static WORKER_RESTARTS: Counter = Counter::new("serve.worker.restarts");
 static REQUEUE_LATENCY_US: Histogram =
     Histogram::new("serve.worker.requeue_latency_us", Unit::Micros);
-static RESUMES: Counter = Counter::new("serve.resumes");
-static RESUME_MISSES: Counter = Counter::new("serve.resume_misses");
-static REPLAYED: Counter = Counter::new("serve.replayed");
-static PARKED_SESSIONS: Gauge = Gauge::new("serve.sessions.parked");
 
 // Per-stage latency histograms: one interval's journey decomposed as
 // decode → queue → batch → enforce → encode → write. Samples are
@@ -155,16 +159,10 @@ pub struct ServerConfig {
     /// Decode cap for this server's frame readers: a length prefix
     /// above it is rejected *before* any buffer allocation. The default
     /// ([`MAX_FRAME_LEN`], 1 MiB) fits any client frame; router↔backend
-    /// links carry batched replay traffic and raise it.
+    /// links carry batched replay traffic and raise it. (The `Hello`
+    /// geometry caps are the session core's constants, e.g.
+    /// [`crate::session::MAX_WINDOW_INTERVALS`].)
     pub max_frame_len: usize,
-    /// Sanity caps on the `Hello` geometry. All four are checked before
-    /// any per-session allocation happens, so a hostile `Hello` (e.g.
-    /// `window_intervals = 10^15`) is answered `bad_handshake` instead of
-    /// driving `queues × window × interval_len` allocations to abort.
-    pub max_ports_per_session: usize,
-    pub max_queues: usize,
-    pub max_interval_len: usize,
-    pub max_window_intervals: usize,
     /// SLO watchdog sliding-window length: replies older than this fall
     /// out of the deadline-miss / degradation rates.
     pub slo_window: Duration,
@@ -200,13 +198,11 @@ pub struct ServerConfig {
     /// and for how long. Oldest parked sessions are evicted first.
     pub max_parked: usize,
     pub parked_ttl: Duration,
-    /// How long a resume handshake will poll for its parked session to
-    /// land before answering with a fresh session (the old connection's
-    /// reader may still be unwinding when the client reconnects). Real
-    /// time even under a virtual clock: it is poll patience, not
-    /// protocol time. Simulation harnesses shrink it so handshakes that
-    /// present an expired token are answered before the driver's stall
-    /// budget runs out.
+    /// How long a resume handshake waits for its session to park before
+    /// answering with a fresh session (the old connection's reader may
+    /// still be unwinding when the client reconnects). Real time even
+    /// under a virtual clock: it is poll patience, not protocol time.
+    /// Unknown and expired tokens are answered at once.
     pub resume_claim_wait: Duration,
     /// Deterministic process-fault injection (worker panics, solver
     /// stalls, slow writes) — the recovery chaos hook. Inactive by
@@ -228,16 +224,6 @@ pub struct ServerConfig {
     pub injected_bug: Option<ProtocolBug>,
 }
 
-/// A deliberately wrong protocol behaviour (see
-/// [`ServerConfig::injected_bug`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolBug {
-    /// On resume, replay starts one seq too late (`last_acked + 1`
-    /// exclusive instead of `last_acked` exclusive), silently skipping
-    /// the first un-acked reply.
-    ReplayOffByOne,
-}
-
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
@@ -256,10 +242,6 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(2),
             max_stalls: 80,
             max_frame_len: MAX_FRAME_LEN,
-            max_ports_per_session: 64,
-            max_queues: 64,
-            max_interval_len: 512,
-            max_window_intervals: 64,
             slo_window: Duration::from_secs(5),
             slo_tick: Duration::from_millis(200),
             slo_max_miss_rate: 0.05,
@@ -272,7 +254,7 @@ impl Default for ServerConfig {
             replay_window: 1024,
             max_parked: 64,
             parked_ttl: Duration::from_secs(30),
-            resume_claim_wait: Duration::from_millis(500),
+            resume_claim_wait: crate::session::CLAIM_WAIT,
             wire: WireCodec::Json,
             process_faults: ProcessFaultPlan::none(),
             clock: Clock::System,
@@ -316,46 +298,6 @@ const SLO_BREACH_CAP: usize = 64;
 /// Trace ids attached to one breach record / event.
 const SLO_BREACH_TRACES: usize = 8;
 
-/// Per-server counters (the process-global `serve.*` metrics aggregate
-/// across servers; these back `StatsReply` for *this* instance).
-#[derive(Default)]
-struct Counters {
-    sessions: AtomicU64,
-    active_sessions: AtomicU64,
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    malformed: AtomicU64,
-    replies: AtomicU64,
-    batches: AtomicU64,
-    deadline_misses: AtomicU64,
-    violations: AtomicU64,
-    slow_disconnects: AtomicU64,
-    // Supervision/resumption accounting (surfaced via the typed
-    // `ServerHandle` accessors and the `serve.*` metrics, not the wire
-    // `StatsReply` — old clients keep decoding that frame unchanged).
-    worker_panics: AtomicU64,
-    worker_restarts: AtomicU64,
-    resumes: AtomicU64,
-    replayed: AtomicU64,
-}
-
-impl Counters {
-    fn stats_frame(&self) -> Frame {
-        Frame::StatsReply {
-            sessions: self.sessions.load(Ordering::Relaxed),
-            active_sessions: self.active_sessions.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            malformed: self.malformed.load(Ordering::Relaxed),
-            replies: self.replies.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
-            violations: self.violations.load(Ordering::Relaxed),
-            slow_disconnects: self.slow_disconnects.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// The write half of a session, shared between its reader thread and the
 /// worker pool. All frame writes go through [`send`](SessionWriter::send)
 /// under one mutex, so replies never interleave mid-frame.
@@ -363,7 +305,8 @@ impl Counters {
 /// This is also the object that *survives* a disconnect: on resumption
 /// the new connection's stream is swapped in under the mutex and `dead`
 /// is re-armed, so in-flight workers keep writing to wherever the
-/// session currently lives.
+/// session currently lives. Its [`Lineage`] (replay log, watermark,
+/// codec) travels with it.
 struct SessionWriter<C: Conn> {
     stream: Mutex<C>,
     /// Intervals accepted but not yet answered (admission-control level).
@@ -371,38 +314,15 @@ struct SessionWriter<C: Conn> {
     /// Replies successfully written (for `ByeAck`).
     answered: AtomicU64,
     dead: AtomicBool,
-    /// Replay window for resumption (empty cap when disabled).
-    replay: Mutex<ReplayLog>,
-    /// Highest `Interval.seq` this session has committed a reply for
-    /// (Ack/Imputed/Busy/Reject all count — every received seq resolves
-    /// exactly one way).
-    highest_seq: AtomicU64,
-    /// Negotiated wire codec for everything this session encodes —
-    /// `Json` until the handshake picks otherwise, then fixed for the
-    /// session's whole lineage (parked state included) so replay-log
-    /// bytes stay valid across resume. Stored as the codec's
-    /// discriminant (0 = JSON, 1 = bin1).
-    codec: AtomicU8,
+    lineage: Lineage,
 }
 
 impl<C: Conn> SessionWriter<C> {
-    /// The session's negotiated encode codec.
-    fn codec(&self) -> WireCodec {
-        match self.codec.load(Ordering::Acquire) {
-            1 => WireCodec::Bin1,
-            _ => WireCodec::Json,
-        }
-    }
-
-    fn set_codec(&self, codec: WireCodec) {
-        self.codec
-            .store((codec == WireCodec::Bin1) as u8, Ordering::Release);
-    }
-
     /// Write one frame; on failure the session is marked dead and the
     /// socket shut down (waking the reader thread). Returns success.
     fn send(&self, shared: &Shared<C>, frame: &Frame) -> bool {
-        let Ok(bytes) = encode_frame_with(frame, self.codec(), shared.cfg.max_frame_len) else {
+        let Ok(bytes) = encode_frame_with(frame, self.lineage.codec(), shared.cfg.max_frame_len)
+        else {
             return false;
         };
         self.send_bytes(shared, &bytes, frame.tag())
@@ -421,11 +341,7 @@ impl<C: Conn> SessionWriter<C> {
             Err(e) => {
                 if !self.dead.swap(true, Ordering::AcqRel) {
                     if e == WireError::Timeout {
-                        SLOW_DISCONNECTS.inc();
-                        shared
-                            .counters
-                            .slow_disconnects
-                            .fetch_add(1, Ordering::Relaxed);
+                        shared.slow_disconnect();
                         log_event!("serve.slow_disconnect", "frame" = tag);
                     }
                     stream.shutdown_both();
@@ -435,25 +351,15 @@ impl<C: Conn> SessionWriter<C> {
         }
     }
 
-    /// Commit a reply for `seq` into the replay window and advance the
-    /// resolved-seq high-water mark. Called *before* the write, so the
-    /// log covers replies the disconnect swallowed.
-    fn record_reply(&self, seq: u64, bytes: &[u8]) {
-        self.highest_seq.fetch_max(seq, Ordering::AcqRel);
-        self.replay
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .record(seq, bytes);
-    }
-
-    /// Record + send a per-seq reply frame (the reader-side Ack / Busy /
+    /// Commit + send a per-seq reply frame (the reader-side Ack / Busy /
     /// Reject path; the worker path encodes separately for stage timing
-    /// and calls [`record_reply`](SessionWriter::record_reply) itself).
+    /// and commits itself).
     fn send_reply(&self, shared: &Shared<C>, seq: u64, frame: &Frame) -> bool {
-        let Ok(bytes) = encode_frame_with(frame, self.codec(), shared.cfg.max_frame_len) else {
+        let Ok(bytes) = encode_frame_with(frame, self.lineage.codec(), shared.cfg.max_frame_len)
+        else {
             return false;
         };
-        self.record_reply(seq, &bytes);
+        self.lineage.commit(seq, &bytes);
         self.send_bytes(shared, &bytes, frame.tag())
     }
 
@@ -485,20 +391,6 @@ struct Job<C: Conn> {
     requeued_at: Option<Instant>,
 }
 
-/// A disconnected session retained for resumption: the sliding windows
-/// and the writer (whose replay log holds the replies the client may
-/// have missed), keyed by resume token in [`Shared::parked`].
-struct ParkedSession<C: Conn> {
-    tenant: String,
-    ports: Vec<usize>,
-    queues: usize,
-    interval_len: usize,
-    window_intervals: usize,
-    imputers: HashMap<usize, StreamingImputer<Arc<TransformerImputer>>>,
-    writer: Arc<SessionWriter<C>>,
-    parked_at: Instant,
-}
-
 /// What a panicking worker leaves behind for the supervisor: which slot
 /// died, why, and which admitted intervals were in flight.
 struct WorkerObit {
@@ -515,25 +407,20 @@ struct Shared<C: Conn> {
     cfg: ServerConfig,
     model: Arc<TransformerImputer>,
     cache: Option<Arc<SolutionCache>>,
-    counters: Counters,
+    /// The session protocol: handshake, draining, parking, resume,
+    /// replay, and the counters behind `StatsReply`.
+    core: SessionCore<Session<C>>,
+    // Supervision accounting (typed handle accessors, not on the wire).
+    worker_panics: AtomicU64,
+    worker_restarts: AtomicU64,
     queue: Mutex<VecDeque<Job<C>>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
-    /// Draining for a planned hand-off: existing sessions keep being
-    /// served, but new `Hello`s are answered `Error{code:"draining"}`
-    /// so a router moves placements elsewhere before the node stops.
-    draining: AtomicBool,
     active_readers: AtomicUsize,
     /// Recent replies for the SLO watchdog's sliding window.
     slo_obs: Mutex<VecDeque<ReplyObs>>,
     /// Declared breaches (bounded at [`SLO_BREACH_CAP`], oldest evicted).
     breaches: Mutex<Vec<SloBreach>>,
-    /// Disconnected sessions awaiting resumption, keyed by resume token
-    /// (bounded by `cfg.max_parked` / `cfg.parked_ttl`).
-    parked: Mutex<HashMap<String, ParkedSession<C>>>,
-    /// Signalled whenever a session parks — wakes reconnecting claims
-    /// racing the old reader's unwind.
-    parked_cv: Condvar,
     /// Panic reports from workers, drained by the supervisor.
     obits: Mutex<Vec<WorkerObit>>,
     /// Recovery latencies of re-enqueued jobs, in µs (bounded).
@@ -545,13 +432,15 @@ impl<C: Conn> Shared<C> {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    fn draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
+    fn counters(&self) -> &Counters {
+        self.core.counters()
     }
 
-    /// Resumption on? (Replay window configured and non-zero.)
-    fn resumable(&self) -> bool {
-        self.cfg.replay_window > 0 && self.cfg.max_parked > 0
+    fn slow_disconnect(&self) {
+        SLOW_DISCONNECTS.inc();
+        self.counters()
+            .slow_disconnects
+            .fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -596,7 +485,7 @@ impl ServerHandle<TcpStream> {
 impl<C: Conn> ServerHandle<C> {
     /// This instance's counters as a [`Frame::StatsReply`].
     pub fn stats(&self) -> Frame {
-        self.shared.counters.stats_frame()
+        self.shared.core.counters().stats_frame()
     }
 
     /// The shared solution cache, if enabled.
@@ -617,16 +506,17 @@ impl<C: Conn> ServerHandle<C> {
     /// Supervision accounting: `(worker panics, worker restarts)`.
     pub fn worker_stats(&self) -> (u64, u64) {
         (
-            self.shared.counters.worker_panics.load(Ordering::Relaxed),
-            self.shared.counters.worker_restarts.load(Ordering::Relaxed),
+            self.shared.worker_panics.load(Ordering::Relaxed),
+            self.shared.worker_restarts.load(Ordering::Relaxed),
         )
     }
 
     /// Resumption accounting: `(sessions resumed, replies replayed)`.
     pub fn resume_stats(&self) -> (u64, u64) {
+        let c = self.shared.core.counters();
         (
-            self.shared.counters.resumes.load(Ordering::Relaxed),
-            self.shared.counters.replayed.load(Ordering::Relaxed),
+            c.resumes.load(Ordering::Relaxed),
+            c.replayed.load(Ordering::Relaxed),
         )
     }
 
@@ -642,11 +532,7 @@ impl<C: Conn> ServerHandle<C> {
 
     /// Sessions currently parked for resumption.
     pub fn parked_count(&self) -> usize {
-        self.shared
-            .parked
-            .lock()
-            .map(|p| p.len())
-            .unwrap_or_default()
+        self.shared.core.parked_count()
     }
 
     /// Whether a parked session exists for `token` right now. Test
@@ -654,11 +540,7 @@ impl<C: Conn> ServerHandle<C> {
     /// disconnect to be parked instead of racing on `parked_count`
     /// (which also counts stale entries awaiting lazy TTL pruning).
     pub fn parked_contains(&self, token: &str) -> bool {
-        self.shared
-            .parked
-            .lock()
-            .map(|p| p.contains_key(token))
-            .unwrap_or_default()
+        self.shared.core.parked_contains(token)
     }
 
     /// Begin draining for a planned hand-off: existing sessions are
@@ -667,14 +549,14 @@ impl<C: Conn> ServerHandle<C> {
     /// "place this session elsewhere". Unlike
     /// [`shutdown`](ServerHandle::shutdown) the node stays up.
     pub fn begin_drain(&self) {
-        if !self.shared.draining.swap(true, Ordering::AcqRel) {
+        if self.shared.core.begin_drain() {
             log_event!("serve.draining");
         }
     }
 
     /// Whether [`begin_drain`](ServerHandle::begin_drain) was called.
     pub fn is_draining(&self) -> bool {
-        self.shared.draining()
+        self.shared.core.is_draining()
     }
 
     /// Signal shutdown and gracefully drain: stop accepting, let every
@@ -704,12 +586,13 @@ impl<C: Conn> ServerHandle<C> {
         if let Some(w) = self.watchdog.take() {
             let _ = w.join();
         }
+        let counters = self.shared.core.counters();
         log_event!(
             "serve.shutdown",
-            "sessions" = self.shared.counters.sessions.load(Ordering::Relaxed),
-            "replies" = self.shared.counters.replies.load(Ordering::Relaxed)
+            "sessions" = counters.sessions.load(Ordering::Relaxed),
+            "replies" = counters.replies.load(Ordering::Relaxed)
         );
-        self.shared.counters.stats_frame()
+        counters.stats_frame()
     }
 }
 
@@ -736,20 +619,30 @@ pub fn spawn_with<T: Transport>(
         None
     };
     let workers = cfg.workers.max(1);
+    let core = SessionCore::new(CoreConfig {
+        wire: cfg.wire,
+        replay_window: cfg.replay_window,
+        max_parked: cfg.max_parked,
+        parked_ttl: cfg.parked_ttl,
+        claim_wait: cfg.resume_claim_wait,
+        clock: cfg.clock.clone(),
+        injected_bug: cfg.injected_bug,
+        tokens: TokenStyle::Node,
+        metrics: &METRICS,
+    });
     let shared = Arc::new(Shared {
         cfg,
         model,
         cache,
-        counters: Counters::default(),
+        core,
+        worker_panics: AtomicU64::new(0),
+        worker_restarts: AtomicU64::new(0),
         queue: Mutex::new(VecDeque::new()),
         queue_cv: Condvar::new(),
         shutdown: AtomicBool::new(false),
-        draining: AtomicBool::new(false),
         active_readers: AtomicUsize::new(0),
         slo_obs: Mutex::new(VecDeque::new()),
         breaches: Mutex::new(Vec::new()),
-        parked: Mutex::new(HashMap::new()),
-        parked_cv: Condvar::new(),
         obits: Mutex::new(Vec::new()),
         requeue_lat: Mutex::new(Vec::new()),
     });
@@ -897,10 +790,7 @@ fn supervisor_loop<C: Conn>(shared: &Arc<Shared<C>>, mut slots: Vec<Option<JoinH
             }
             *n += 1;
             WORKER_RESTARTS.inc();
-            shared
-                .counters
-                .worker_restarts
-                .fetch_add(1, Ordering::Relaxed);
+            shared.worker_restarts.fetch_add(1, Ordering::Relaxed);
             log_event!(
                 "worker.restart",
                 "worker" = obit.worker,
@@ -1067,13 +957,6 @@ fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
 struct Session<C: Conn> {
     id: u64,
     tenant: String,
-    /// The resume token handed out in `Welcome` (None when resumption is
-    /// disabled); the key this session parks under on disconnect.
-    token: Option<String>,
-    ports: Vec<usize>,
-    queues: usize,
-    interval_len: usize,
-    window_intervals: usize,
     imputers: HashMap<usize, StreamingImputer<Arc<TransformerImputer>>>,
     writer: Arc<SessionWriter<C>>,
 }
@@ -1089,32 +972,32 @@ enum SessionEnd {
 
 fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
     let cfg = &shared.cfg;
-    let _ = stream.set_read_timeout(Some(cfg.read_timeout));
-    let _ = stream.set_write_timeout(Some(cfg.write_timeout));
-    let _ = stream.set_nodelay(true);
-    let read_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let writer = Arc::new(SessionWriter {
-        stream: Mutex::new(stream),
-        inflight: AtomicUsize::new(0),
-        answered: AtomicU64::new(0),
-        dead: AtomicBool::new(false),
-        replay: Mutex::new(ReplayLog::new(cfg.replay_window)),
-        highest_seq: AtomicU64::new(0),
-        codec: AtomicU8::new(0),
-    });
-    let mut reader = FrameReader::with_max_len(read_half, cfg.max_frame_len);
-
-    let Some(mut session) = handshake(shared, &mut reader, &writer) else {
+    let Some((opening, stream, mut reader)) = await_opening(
+        &shared.core,
+        stream,
+        cfg.read_timeout,
+        cfg.write_timeout,
+        cfg.max_frame_len,
+        || shared.shutting_down(),
+    ) else {
         return;
     };
-    SESSIONS_ACTIVE.add(1);
-    shared
-        .counters
-        .active_sessions
-        .fetch_add(1, Ordering::Relaxed);
+    let session = match opening {
+        Opening::Fresh {
+            id,
+            identity,
+            lineage,
+            ..
+        } => open_fresh(shared, id, identity, lineage, stream),
+        Opening::Resume {
+            id,
+            last_acked,
+            state,
+        } => resume_session(shared, Session { id, ..state }, last_acked, stream),
+    };
+    let Some(mut session) = session else {
+        return;
+    };
     log_event!(
         "serve.session.open",
         "session" = session.id,
@@ -1144,11 +1027,7 @@ fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
                 if reader.pending() > 0 {
                     stalls += 1;
                     if stalls > cfg.max_stalls {
-                        SLOW_DISCONNECTS.inc();
-                        shared
-                            .counters
-                            .slow_disconnects
-                            .fetch_add(1, Ordering::Relaxed);
+                        shared.slow_disconnect();
                         log_event!("serve.stall_disconnect", "session" = session.id);
                         break;
                     }
@@ -1171,8 +1050,7 @@ fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
                 | WireError::Malformed(_)),
             ) => {
                 // Framing is lost — report and hang up.
-                MALFORMED.inc();
-                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
+                shared.core.malformed();
                 let _ = session.writer.send(
                     shared,
                     &Frame::Error {
@@ -1186,11 +1064,6 @@ fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
         }
     }
     session.writer.dead.store(true, Ordering::Release);
-    SESSIONS_ACTIVE.add(-1);
-    shared
-        .counters
-        .active_sessions
-        .fetch_sub(1, Ordering::Relaxed);
     log_event!(
         "serve.session.close",
         "session" = session.id,
@@ -1198,177 +1071,34 @@ fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
     );
     if end == SessionEnd::Disconnected && !shared.shutting_down() {
         park_session(shared, session);
+    } else {
+        shared.core.close(&session.writer.lineage);
     }
 }
 
-/// Park a disconnected session for resumption: its sliding windows and
-/// writer (with the replay log) go into `Shared::parked` under its
-/// resume token, bounded by `max_parked`/`parked_ttl`.
+/// Park a disconnected session in the core for resumption: its sliding
+/// windows and writer (with the lineage's replay log). Whatever the core
+/// evicts to make room is simply dropped.
 fn park_session<C: Conn>(shared: &Shared<C>, session: Session<C>) {
-    let Some(token) = session.token.clone() else {
-        return; // resumption disabled
-    };
-    let now = shared.cfg.clock.now();
-    let mut parked = shared.parked.lock().unwrap_or_else(PoisonError::into_inner);
-    parked.retain(|_, p| now.saturating_duration_since(p.parked_at) <= shared.cfg.parked_ttl);
-    while parked.len() >= shared.cfg.max_parked {
-        let Some(oldest) = parked
-            .iter()
-            .min_by_key(|(_, p)| p.parked_at)
-            .map(|(k, _)| k.clone())
-        else {
-            break;
-        };
-        parked.remove(&oldest);
-    }
     log_event!(
         "serve.session.park",
         "session" = session.id,
         "inflight" = session.writer.inflight.load(Ordering::Acquire)
     );
-    parked.insert(
-        token,
-        ParkedSession {
-            tenant: session.tenant,
-            ports: session.ports,
-            queues: session.queues,
-            interval_len: session.interval_len,
-            window_intervals: session.window_intervals,
-            imputers: session.imputers,
-            writer: session.writer,
-            parked_at: now,
-        },
-    );
-    PARKED_SESSIONS.set(parked.len() as i64);
-    drop(parked);
-    shared.parked_cv.notify_all();
+    let writer = Arc::clone(&session.writer);
+    drop(shared.core.park(&writer.lineage, session));
 }
 
-/// Deterministic token for session `id` (splitmix64). Unguessability is
-/// NOT a design goal — the protocol is plaintext loopback JSON and the
-/// tenant string is already client-asserted; the token exists to route
-/// a reconnect to the right parked state, not to authenticate it.
-fn resume_token_for(id: u64) -> String {
-    let mut z = id.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    format!("tok-{z:016x}")
-}
-
-/// Expect `Hello`, validate geometry, reply `Welcome`. `None` aborts the
-/// connection.
-fn handshake<C: Conn>(
+/// A fresh lineage: build the session's sliding windows, then send the
+/// core's `Welcome`. The writer speaks the negotiated codec from here on.
+fn open_fresh<C: Conn>(
     shared: &Arc<Shared<C>>,
-    reader: &mut FrameReader<C>,
-    writer: &Arc<SessionWriter<C>>,
+    id: u64,
+    identity: Identity,
+    lineage: Lineage,
+    stream: C,
 ) -> Option<Session<C>> {
     let cfg = &shared.cfg;
-    let deadline = cfg.clock.now() + Duration::from_secs(5);
-    let frame = loop {
-        if shared.shutting_down() || cfg.clock.now() > deadline {
-            return None;
-        }
-        match reader.poll_frame() {
-            // Pre-handshake `Stats` / `MetricsDump` are allowed:
-            // monitoring probes (`fmml obs`) ask for counters or the
-            // full introspection dump without opening a session.
-            Ok(Some(Frame::Stats)) => {
-                if !writer.send(shared, &shared.counters.stats_frame()) {
-                    return None;
-                }
-            }
-            Ok(Some(Frame::MetricsDump)) => {
-                let reply = Frame::MetricsReply {
-                    json: fmml_obs::dump_json(),
-                };
-                if !writer.send(shared, &reply) {
-                    return None;
-                }
-            }
-            Ok(Some(f)) => break f,
-            Ok(None) => continue,
-            Err(_) => return None,
-        }
-    };
-    let Frame::Hello {
-        tenant,
-        ports,
-        queues,
-        interval_len,
-        window_intervals,
-        resume_token,
-        last_acked,
-        codecs,
-    } = frame
-    else {
-        let _ = writer.send(
-            shared,
-            &Frame::Error {
-                code: "bad_handshake".into(),
-                message: format!("expected Hello, got {}", frame.tag()),
-            },
-        );
-        return None;
-    };
-    // A draining node refuses every new session — fresh *and* resume —
-    // so the placement layer moves it (and its parked state, via the
-    // resume token) to another node. Probe frames above still work:
-    // drain must not blind the health checker.
-    if shared.draining() {
-        let _ = writer.send(
-            shared,
-            &Frame::Error {
-                code: "draining".into(),
-                message: "node is draining; place this session elsewhere".into(),
-            },
-        );
-        return None;
-    }
-    let valid = !ports.is_empty()
-        && ports.len() <= cfg.max_ports_per_session
-        && queues >= 1
-        && queues <= cfg.max_queues
-        && interval_len >= 2
-        && interval_len <= cfg.max_interval_len
-        && window_intervals >= 1
-        && window_intervals <= cfg.max_window_intervals;
-    if !valid {
-        MALFORMED.inc();
-        shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-        let _ = writer.send(
-            shared,
-            &Frame::Error {
-                code: "bad_handshake".into(),
-                message: format!(
-                    "invalid geometry: ports={} queues={queues} interval_len={interval_len} \
-                     window_intervals={window_intervals}",
-                    ports.len()
-                ),
-            },
-        );
-        return None;
-    }
-    let id = shared.counters.sessions.fetch_add(1, Ordering::Relaxed) + 1;
-    SESSIONS.inc();
-
-    // Resume path: re-attach to a parked session's windows and replay
-    // log instead of building fresh state.
-    if let Some(tok) = resume_token.as_ref().filter(|_| shared.resumable()) {
-        if let Some(parked) = claim_parked(
-            shared,
-            tok,
-            &tenant,
-            &ports,
-            queues,
-            interval_len,
-            window_intervals,
-        ) {
-            return resume_session(shared, writer, parked, id, tenant, tok.clone(), last_acked);
-        }
-        RESUME_MISSES.inc();
-    }
-
     let opts = StreamOptions {
         ladder: LadderConfig {
             engine: cfg.engine.clone(),
@@ -1376,7 +1106,8 @@ fn handshake<C: Conn>(
         },
         ..StreamOptions::default()
     };
-    let imputers = ports
+    let imputers = identity
+        .ports
         .iter()
         .map(|&p| {
             (
@@ -1385,223 +1116,76 @@ fn handshake<C: Conn>(
                     Arc::clone(&shared.model),
                     opts.clone(),
                     p,
-                    queues,
-                    interval_len,
-                    window_intervals,
+                    identity.queues,
+                    identity.interval_len,
+                    identity.window_intervals,
                 ),
             )
         })
         .collect();
-    let token = shared.resumable().then(|| resume_token_for(id));
-    // Codec negotiation: the server's preference, if the client
-    // advertised it. The Welcome itself still goes out as JSON (the
-    // writer's codec is switched only after it is sent), so a client
-    // can always parse the verdict with its pre-negotiation decoder.
-    let codec = WireCodec::negotiate(cfg.wire, codecs.as_deref());
-    if !writer.send(
-        shared,
-        &Frame::Welcome {
-            session: id,
-            deadline_ms: cfg.deadline.as_millis() as u64,
-            resume_token: token.clone(),
-            // A resumable server always states the verdict, so a failed
-            // resume attempt is answered honestly: the client must treat
-            // its pending intervals as addressed to a fresh session
-            // (i.e. lost), not wait for a replay.
-            resumed: shared.resumable().then_some(false),
-            resume_seq: None,
-            codec: Some(codec.label().into()),
-        },
-    ) {
+    let writer = Arc::new(SessionWriter {
+        stream: Mutex::new(stream),
+        inflight: AtomicUsize::new(0),
+        answered: AtomicU64::new(0),
+        dead: AtomicBool::new(false),
+        lineage,
+    });
+    let welcome = shared
+        .core
+        .welcome(id, &writer.lineage, cfg.deadline.as_millis() as u64);
+    if !writer.send_bytes(shared, &welcome, "Welcome") {
+        shared.core.close(&writer.lineage);
         return None;
     }
-    writer.set_codec(codec);
     Some(Session {
         id,
-        tenant,
-        token,
-        ports,
-        queues,
-        interval_len,
-        window_intervals,
+        tenant: identity.tenant,
         imputers,
-        writer: Arc::clone(writer),
+        writer,
     })
 }
 
-/// Claim the parked session for `tok` if its tenant and geometry match
-/// the reconnecting `Hello`. Waits briefly for the park to land (the old
-/// connection's reader may still be unwinding when the client retries).
-/// A parked entry older than `parked_ttl` (on the injected clock) is
-/// expired here rather than claimed: the reconnect gets a fresh session.
-fn claim_parked<C: Conn>(
-    shared: &Shared<C>,
-    tok: &str,
-    tenant: &str,
-    ports: &[usize],
-    queues: usize,
-    interval_len: usize,
-    window_intervals: usize,
-) -> Option<ParkedSession<C>> {
-    // The wait budget is real time (poll patience, not protocol time):
-    // under a virtual clock a reconnect race still resolves in real
-    // microseconds even though no one is advancing virtual time.
-    let deadline = Instant::now() + shared.cfg.resume_claim_wait;
-    let mut parked = shared.parked.lock().unwrap_or_else(PoisonError::into_inner);
-    loop {
-        if let Some(p) = parked.get(tok) {
-            if shared
-                .cfg
-                .clock
-                .now()
-                .saturating_duration_since(p.parked_at)
-                > shared.cfg.parked_ttl
-            {
-                // Expired: drop the stale state so nothing leaks, and
-                // let the handshake fall through to a fresh session.
-                parked.remove(tok);
-                PARKED_SESSIONS.set(parked.len() as i64);
-                return None;
-            }
-            let matches = p.tenant == tenant
-                && p.ports == ports
-                && p.queues == queues
-                && p.interval_len == interval_len
-                && p.window_intervals == window_intervals;
-            if !matches {
-                // Same token, different identity: refuse the claim
-                // (fresh session) but leave the parked state alone.
-                return None;
-            }
-            let claimed = parked.remove(tok);
-            PARKED_SESSIONS.set(parked.len() as i64);
-            return claimed;
-        }
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() || shared.shutting_down() {
-            return None;
-        }
-        let (guard, _timeout) = shared
-            .parked_cv
-            .wait_timeout(parked, left.min(Duration::from_millis(10)))
-            .unwrap_or_else(PoisonError::into_inner);
-        parked = guard;
-    }
-}
-
-/// Finish a successful resume: attach the new connection to the parked
-/// writer, drain stragglers into the replay log, tell the client where
-/// to rewind to, and replay everything past its `last_acked`.
+/// Finish a claimed resume: drain stragglers into the lineage's replay
+/// log, attach the new connection to the parked writer, and send the
+/// core's `Welcome` and replay. Until the handshake completes on the new
+/// connection, any failure re-parks the session under the same token (a
+/// dropped replay log would turn a reconnect hiccup into reply loss).
 fn resume_session<C: Conn>(
     shared: &Arc<Shared<C>>,
-    fresh_writer: &Arc<SessionWriter<C>>,
-    parked: ParkedSession<C>,
-    id: u64,
-    tenant: String,
-    token: String,
+    session: Session<C>,
     last_acked: Option<u64>,
+    stream: C,
 ) -> Option<Session<C>> {
-    // Reassemble the session first: until the handshake completes on the
-    // new connection, any failure path must re-park this state under the
-    // same token (a dropped replay log here would turn a transient
-    // reconnect hiccup into permanent reply loss).
-    let session = Session {
-        id,
-        tenant,
-        token: Some(token),
-        ports: parked.ports,
-        queues: parked.queues,
-        interval_len: parked.interval_len,
-        window_intervals: parked.window_intervals,
-        imputers: parked.imputers,
-        writer: parked.writer,
-    };
-    // The new connection's socket currently lives inside the throwaway
-    // pre-handshake writer; dup it into the parked writer.
-    let stream = match fresh_writer
-        .stream
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .try_clone()
-    {
-        Ok(s) => s,
-        Err(_) => {
-            park_session(shared, session);
-            return None;
-        }
-    };
+    let id = session.id;
     let writer = Arc::clone(&session.writer);
     // Let replies already in the worker pipeline commit to the replay
-    // log before we snapshot the high-water mark — after this, every
-    // seq ≤ resume_seq has a logged reply and every seq above it never
+    // log before the core reads the watermark — after this, every seq
+    // ≤ resume_seq has a logged reply and every seq above it never
     // reached the server.
     drain_inflight_for_resume(shared, &writer);
     writer.attach(stream);
-    let resume_seq = writer.highest_seq.load(Ordering::Acquire);
-    if !writer.send(
-        shared,
-        &Frame::Welcome {
-            session: id,
-            deadline_ms: shared.cfg.deadline.as_millis() as u64,
-            resume_token: session.token.clone(),
-            resumed: Some(true),
-            resume_seq: Some(resume_seq),
-            // A resumed lineage keeps the codec it negotiated at birth
-            // (the replay bytes that follow are pre-encoded in it); the
-            // Welcome restates it rather than renegotiating.
-            codec: Some(writer.codec().label().into()),
-        },
-    ) {
-        // The Welcome never cleared the reconnect (it died mid-
-        // handshake). The session is still fully resumable: park it
-        // again so the client's next retry can claim it.
+    let replay = shared.core.resume(
+        id,
+        &writer.lineage,
+        last_acked,
+        shared.cfg.deadline.as_millis() as u64,
+    );
+    if !writer.send_bytes(shared, &replay.welcome, "Welcome") {
         park_session(shared, session);
         return None;
     }
-    RESUMES.inc();
-    shared.counters.resumes.fetch_add(1, Ordering::Relaxed);
-    // Exactly-once completion: replay (in seq order) every retained
-    // reply past the client's ack point. The client dedups anything it
-    // already processed; gaps it was waiting on are filled here.
-    let replay_from = last_acked.unwrap_or(0)
-        + match shared.cfg.injected_bug {
-            // Off-by-one seeded for the simulation harness: skips the
-            // first un-acked reply, which the model checker must catch
-            // as a completeness violation.
-            Some(ProtocolBug::ReplayOffByOne) => 1,
-            None => 0,
-        };
-    let entries = {
-        let mut log = writer.replay.lock().unwrap_or_else(PoisonError::into_inner);
-        // The client's ack is the eviction watermark: everything at or
-        // below it is confirmed processed and safe to drop first.
-        log.set_acked(last_acked.unwrap_or(0));
-        log.since(replay_from)
-    };
     let mut replayed = 0u64;
-    for (_seq, bytes) in &entries {
+    for bytes in &replay.replies {
         if !writer.send_bytes(shared, bytes, "Replay") {
             break;
         }
         replayed += 1;
     }
-    REPLAYED.add(replayed);
-    shared
-        .counters
-        .replayed
-        .fetch_add(replayed, Ordering::Relaxed);
-    // Replayed frames are replies shipped to a client: the originals
-    // never cleared the (now-dead) socket, so they were not counted
-    // when the worker produced them.
-    REPLIES.add(replayed);
-    shared
-        .counters
-        .replies
-        .fetch_add(replayed, Ordering::Relaxed);
+    shared.core.resumed(replayed);
     log_event!(
         "serve.session.resume",
         "session" = id,
-        "resume_seq" = resume_seq,
+        "resume_seq" = writer.lineage.highest_seq(),
         "replayed" = replayed,
         "tenant" = session.tenant.as_str()
     );
@@ -1618,6 +1202,7 @@ fn handle_frame<C: Conn>(
     decode_ns: u64,
 ) -> bool {
     let cfg = &shared.cfg;
+    let counters = shared.core.counters();
     match frame {
         Frame::Interval {
             seq,
@@ -1638,44 +1223,29 @@ fn handle_frame<C: Conn>(
                 let start = accepted_at.checked_sub(dur).unwrap_or(accepted_at);
                 trace::record_span("serve.decode", ctx, start, dur);
             }
-            // Duplicate delivery (client retransmit after resume): a seq
-            // we already committed a reply for is answered from the
-            // replay log — the sliding window is NEVER fed twice, which
-            // is what keeps resumed streams bitwise-identical. A seq at
-            // or below the high-water mark *without* a logged reply is a
-            // reordered frame that never reached us; it falls through
-            // and is ingested normally (pre-resume behaviour).
-            if seq <= session.writer.highest_seq.load(Ordering::Acquire) {
-                let logged = session
-                    .writer
-                    .replay
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .get(seq);
-                if let Some(bytes) = logged {
-                    REPLAYED.inc();
-                    shared.counters.replayed.fetch_add(1, Ordering::Relaxed);
-                    if session.writer.send_bytes(shared, &bytes, "Replay") {
-                        REPLIES.inc();
-                        shared.counters.replies.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return true;
+            // Duplicate delivery (client retransmit after resume) is
+            // answered from the replay log — the sliding window is NEVER
+            // fed twice, which is what keeps resumed streams
+            // bitwise-identical.
+            if let Some(bytes) = shared.core.duplicate(&session.writer.lineage, seq) {
+                if session.writer.send_bytes(shared, &bytes, "Replay") {
+                    shared.core.reply_sent();
                 }
+                return true;
             }
             // Admission control first: over-budget intervals are dropped
             // before costing a model forward pass.
             let depth = session.writer.inflight.load(Ordering::Acquire);
             if depth >= cfg.queue_depth {
                 REJECTED.inc();
-                shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                counters.rejected.fetch_add(1, Ordering::Relaxed);
                 session
                     .writer
                     .send_reply(shared, seq, &Frame::Busy { seq, depth });
                 return true;
             }
             let Some(imputer) = session.imputers.get_mut(&update.port) else {
-                MALFORMED.inc();
-                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
+                shared.core.malformed();
                 session.writer.send_reply(
                     shared,
                     seq,
@@ -1688,8 +1258,7 @@ fn handle_frame<C: Conn>(
             };
             match imputer.try_prepare(update) {
                 Err(e) => {
-                    MALFORMED.inc();
-                    shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
+                    shared.core.malformed();
                     session.writer.send_reply(
                         shared,
                         seq,
@@ -1701,7 +1270,7 @@ fn handle_frame<C: Conn>(
                 }
                 Ok(None) => {
                     ACCEPTED.inc();
-                    shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
+                    counters.accepted.fetch_add(1, Ordering::Relaxed);
                     let buffered = imputer.buffered();
                     session
                         .writer
@@ -1709,7 +1278,7 @@ fn handle_frame<C: Conn>(
                 }
                 Ok(Some(prepared)) => {
                     ACCEPTED.inc();
-                    shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
+                    counters.accepted.fetch_add(1, Ordering::Relaxed);
                     session.writer.inflight.fetch_add(1, Ordering::AcqRel);
                     let job = Job {
                         seq,
@@ -1724,19 +1293,6 @@ fn handle_frame<C: Conn>(
                     shared.queue_cv.notify_one();
                 }
             }
-            true
-        }
-        Frame::Stats => {
-            session.writer.send(shared, &shared.counters.stats_frame());
-            true
-        }
-        Frame::MetricsDump => {
-            session.writer.send(
-                shared,
-                &Frame::MetricsReply {
-                    json: fmml_obs::dump_json(),
-                },
-            );
             true
         }
         Frame::Bye => {
@@ -1756,15 +1312,11 @@ fn handle_frame<C: Conn>(
             false
         }
         other => {
-            MALFORMED.inc();
-            shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-            session.writer.send(
-                shared,
-                &Frame::Error {
-                    code: "unexpected".into(),
-                    message: format!("unexpected {} frame", other.tag()),
-                },
-            );
+            let core = &shared.core;
+            let reply = core
+                .probe(&other)
+                .unwrap_or_else(|| core.unexpected(&other));
+            session.writer.send(shared, &reply);
             true
         }
     }
@@ -1780,7 +1332,7 @@ fn drain_inflight<C: Conn>(shared: &Shared<C>, writer: &SessionWriter<C>) {
 
 /// Resume-path drain: waits even on a dead writer. Workers decrement
 /// `inflight` whether or not the socket write succeeds, and they commit
-/// `record_reply` first — so once this returns with `inflight == 0`,
+/// the lineage commit first — so once this returns with `inflight == 0`,
 /// every accepted seq is in the replay log and the resume watermark
 /// covers it.
 fn drain_inflight_for_resume<C: Conn>(shared: &Shared<C>, writer: &SessionWriter<C>) {
@@ -1913,7 +1465,7 @@ fn process_batch<C: Conn>(
     // deterministic clock the process-fault plan keys on. A re-enqueued
     // batch is re-collected and gets a *new* ordinal, so a panic cadence
     // of `every >= 2` cannot poison its own retry forever.
-    let ordinal = shared.counters.batches.fetch_add(1, Ordering::Relaxed);
+    let ordinal = shared.counters().batches.fetch_add(1, Ordering::Relaxed);
     let pf = &cfg.process_faults;
     if ProcessFaultPlan::fires(pf.worker_panic_every, ordinal) {
         record_process_fault(FaultKind::WorkerPanic);
@@ -1987,7 +1539,7 @@ fn process_batch<C: Conn>(
         let effective = outcome.effective_constraints(&job.prepared.constraints);
         if !effective.satisfied_exact(&outcome.corrected) {
             VIOLATIONS.inc();
-            shared.counters.violations.fetch_add(1, Ordering::Relaxed);
+            shared.counters().violations.fetch_add(1, Ordering::Relaxed);
             log_event!("serve.violation", "seq" = job.seq);
         }
         let series = job.prepared.newest_interval(&outcome.corrected);
@@ -2005,7 +1557,7 @@ fn process_batch<C: Conn>(
         if missed {
             DEADLINE_MISS.inc();
             shared
-                .counters
+                .counters()
                 .deadline_misses
                 .fetch_add(1, Ordering::Relaxed);
         }
@@ -2021,7 +1573,7 @@ fn process_batch<C: Conn>(
         // Encode and write timed separately, so a slow peer shows up
         // in `serve.stage.write_us` rather than smearing the batch.
         let encode_start = cfg.clock.now();
-        let bytes = encode_frame_with(&frame, job.writer.codec(), cfg.max_frame_len);
+        let bytes = encode_frame_with(&frame, job.writer.lineage.codec(), cfg.max_frame_len);
         let encode_dur = cfg.clock.now().saturating_duration_since(encode_start);
         let sent = match &bytes {
             Ok(bytes) => {
@@ -2036,7 +1588,7 @@ fn process_batch<C: Conn>(
                 // reply that may have reached the wire must be
                 // replayable, or a crash between write and record would
                 // lose it for a resuming client.
-                job.writer.record_reply(job.seq, bytes);
+                job.writer.lineage.commit(job.seq, bytes);
                 let write_start = cfg.clock.now();
                 let ok = job.writer.send_bytes(shared, bytes, frame.tag());
                 let write_dur = cfg.clock.now().saturating_duration_since(write_start);
@@ -2047,8 +1599,7 @@ fn process_batch<C: Conn>(
             Err(_) => false,
         };
         if sent {
-            REPLIES.inc();
-            shared.counters.replies.fetch_add(1, Ordering::Relaxed);
+            shared.core.reply_sent();
             job.writer.answered.fetch_add(1, Ordering::Relaxed);
         }
         // Recovery latency: requeue (panic) → reply committed.
@@ -2094,10 +1645,7 @@ fn worker_down<C: Conn>(
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".to_string());
     WORKER_PANICS.inc();
-    shared
-        .counters
-        .worker_panics
-        .fetch_add(1, Ordering::Relaxed);
+    shared.worker_panics.fetch_add(1, Ordering::Relaxed);
     let trace_ids: Vec<u64> = survivors
         .iter()
         .map(|j| j.trace.trace_id)

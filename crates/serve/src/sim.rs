@@ -28,6 +28,7 @@
 //! with its successor.
 
 use crate::transport::{Accepted, Conn, Connector, Transport};
+use fmml_obs::hash::{fnv1a, fnv1a_extend, FNV_OFFSET};
 use fmml_obs::Clock;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
@@ -418,20 +419,8 @@ impl Pipe {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(h: u64, data: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 fn fnv_u64(h: u64, v: u64) -> u64 {
-    fnv_bytes(h, &v.to_le_bytes())
+    fnv1a_extend(h, &v.to_le_bytes())
 }
 
 /// Keeps one end of the connection open for writing as long as any
@@ -539,7 +528,7 @@ impl SimConn {
             push(st, frame, now);
             return true;
         }
-        let content = fnv_bytes(FNV_OFFSET, &frame);
+        let content = fnv1a(&frame);
         let occ = {
             let c = st.occurrences.entry(content).or_insert(0);
             let v = *c;

@@ -9,6 +9,7 @@ use fmml_fm::cem::{CemEngine, DegradationLevel, LadderConfig};
 use fmml_netsim::traffic::TrafficConfig;
 use fmml_netsim::{SimConfig, Simulation};
 use fmml_serve::protocol::{write_frame, write_frame_with, Frame, FrameReader, WireCodec};
+use fmml_serve::session::{MAX_INTERVAL_LEN, MAX_WINDOW_INTERVALS};
 use fmml_serve::{spawn, ServerConfig};
 use fmml_telemetry::{windows_from_trace, PortWindow};
 use std::io::Write as _;
@@ -355,8 +356,8 @@ fn hostile_hello_geometry_at(max_frame_len: usize) {
             tenant: "evil".into(),
             ports: vec![0],
             queues: 1,
-            interval_len: ServerConfig::default().max_interval_len + 1,
-            window_intervals: ServerConfig::default().max_window_intervals + 1,
+            interval_len: MAX_INTERVAL_LEN + 1,
+            window_intervals: MAX_WINDOW_INTERVALS + 1,
             resume_token: None,
             last_acked: None,
             codecs: None,

@@ -21,6 +21,7 @@
 //! Everything here is pure bookkeeping over [`Frame`] values; the
 //! explorer ([`crate::explorer`]) owns all I/O and clocks.
 
+use fmml_obs::hash::{fnv1a_extend, FNV_OFFSET};
 use fmml_serve::Frame;
 use std::collections::BTreeMap;
 
@@ -57,15 +58,8 @@ impl ReplyKind {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_str(mut h: u64, s: &str) -> u64 {
-    for &b in s.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+fn fnv_str(h: u64, s: &str) -> u64 {
+    fnv1a_extend(h, s.as_bytes())
 }
 
 /// Reference protocol state for one client.

@@ -36,12 +36,10 @@
 //! deterministic model and migration warm-up reconstructs the exact
 //! sliding window.
 
-use crate::explorer::{
-    derive_profile, explorer_server_config, fixture, splitmix64, Client, SeedOutcome, World,
-    FNV_OFFSET,
-};
+use crate::explorer::{derive_profile, explorer_server_config, fixture, SeedOutcome, World};
 use fmml_cluster::{RouterConfig, RouterHandle};
 use fmml_fault::ProcessFaultPlan;
+use fmml_obs::hash::{fnv_fold, splitmix64, FNV_OFFSET};
 use fmml_obs::Clock;
 use fmml_serve::{
     spawn_with, FaultProfile, ServerHandle, SimConn, SimConnector, SimNet, WireCodec,
@@ -167,17 +165,13 @@ pub fn run_seed(seed: u64, cfg: &ClusterSimConfig) -> ClusterSeedOutcome {
 
     let profile = derive_profile(&mut rng);
     let mut world = World {
-        net: front.clone(),
-        vc: Some(Arc::clone(&vc)),
-        clients: (0..cfg.clients).map(Client::new).collect(),
-        violations: Vec::new(),
         // Router deadlines are virtual, but the router's prober and
         // link threads still need real CPU time between the driver's
         // virtual ticks to observe them: idle pump iterations sleep a
         // sliver of real time purely for thread scheduling.
         real_idle: Duration::from_micros(300),
         stall_limit: 1200,
-        wire: cfg.wire,
+        ..World::new(front.clone(), Some(Arc::clone(&vc)), cfg.clients, cfg.wire)
     };
     for i in 0..cfg.clients {
         world.handshake(i);
@@ -247,12 +241,6 @@ pub fn run_seed(seed: u64, cfg: &ClusterSimConfig) -> ClusterSeedOutcome {
     vc.advance(Duration::from_millis(600));
     world.net.set_profile(FaultProfile::none());
     world.final_drain();
-    if vc.valve_trips() > 0 {
-        world.violations.push(format!(
-            "virtual-clock valve tripped {}x (a sleeper waited >5s real time)",
-            vc.valve_trips()
-        ));
-    }
 
     let (migrations, resumes, _replayed) = router.cluster_stats();
     let _ = router.shutdown();
@@ -273,12 +261,9 @@ pub fn run_seed(seed: u64, cfg: &ClusterSimConfig) -> ClusterSeedOutcome {
 /// Fold a batch of outcomes into one run fingerprint (for the CLI's
 /// double-run reproducibility gate).
 pub fn fold_run_fingerprint(outcomes: &[ClusterSeedOutcome]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for o in outcomes {
-        h ^= o.inner.fingerprint;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    outcomes
+        .iter()
+        .fold(FNV_OFFSET, |h, o| fnv_fold(h, o.inner.fingerprint))
 }
 
 #[cfg(test)]

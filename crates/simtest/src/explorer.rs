@@ -48,6 +48,7 @@ use fmml_fault::ProcessFaultPlan;
 use fmml_fm::cem::CemEngine;
 use fmml_netsim::traffic::TrafficConfig;
 use fmml_netsim::{SimConfig, Simulation};
+use fmml_obs::hash::{fnv_fold, splitmix64, FNV_OFFSET};
 use fmml_obs::{Clock, VirtualClock};
 use fmml_serve::protocol::{encode_frame_with, write_frame, FrameReader, WireCodec, MAX_FRAME_LEN};
 use fmml_serve::{
@@ -129,17 +130,6 @@ pub fn run(cfg: &SimtestConfig) -> Vec<SeedOutcome> {
         .map(|seed| run_seed(seed, cfg))
         .collect()
 }
-
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Shared fixture: one deterministic imputer and a pool of real
 /// telemetry interval updates (same geometry as the loopback suite).
@@ -315,6 +305,23 @@ pub(crate) struct World {
 }
 
 impl World {
+    pub(crate) fn new(
+        net: SimNet,
+        vc: Option<Arc<VirtualClock>>,
+        clients: usize,
+        wire: WireCodec,
+    ) -> World {
+        World {
+            net,
+            vc,
+            clients: (0..clients).map(Client::new).collect(),
+            violations: Vec::new(),
+            real_idle: Duration::ZERO,
+            stall_limit: STALL_LIMIT,
+            wire,
+        }
+    }
+
     /// Drain every readable frame from every live client. Returns
     /// whether anything arrived. Also the aliveness probe: a killed
     /// duplex surfaces as EOF here, so by the next schedule point the
@@ -348,27 +355,7 @@ impl World {
     /// restart backoffs). `false` = stalled: `STALL_LIMIT` consecutive
     /// iterations with nothing readable and the predicate still false.
     pub(crate) fn pump_until<F: Fn(&World) -> bool>(&mut self, pred: F) -> bool {
-        let mut idle = 0usize;
-        loop {
-            if pred(self) {
-                return true;
-            }
-            if self.pump_once() {
-                idle = 0;
-                continue;
-            }
-            idle += 1;
-            if idle > self.stall_limit {
-                return false;
-            }
-            match &self.vc {
-                Some(vc) => vc.advance(Duration::from_millis(1)),
-                None => std::thread::sleep(Duration::from_micros(500)),
-            }
-            if !self.real_idle.is_zero() {
-                std::thread::sleep(self.real_idle);
-            }
-        }
+        self.pump_until_patient(pred, Duration::ZERO)
     }
 
     /// Like [`World::pump_until`], but a stall is only declared once
@@ -389,7 +376,7 @@ impl World {
                 continue;
             }
             idle += 1;
-            if idle > self.stall_limit && t0.elapsed() > real_min {
+            if idle > self.stall_limit && t0.elapsed() >= real_min {
                 return false;
             }
             match &self.vc {
@@ -713,6 +700,12 @@ impl World {
         for c in &mut self.clients {
             c.model.final_check();
         }
+        let trips = self.vc.as_ref().map_or(0, |vc| vc.valve_trips());
+        if trips > 0 {
+            self.violations.push(format!(
+                "virtual-clock valve tripped {trips}x (a sleeper waited >5s real time)"
+            ));
+        }
     }
 
     pub(crate) fn into_outcome(self, seed: u64) -> SeedOutcome {
@@ -730,8 +723,7 @@ impl World {
                 c.model.dump(&mut std::io::stderr().lock());
             }
         }
-        fp ^= violations.len() as u64;
-        fp = fp.wrapping_mul(FNV_PRIME);
+        fp = fnv_fold(fp, violations.len() as u64);
         SeedOutcome {
             seed,
             fingerprint: fp,
@@ -805,8 +797,8 @@ pub(crate) fn explorer_server_config(
         // be scheduled — tens of ms under CPU contention — and a miss
         // here surfaces as a spurious "session lost". The condvar wakes
         // the claim the moment the park lands, so this budget is only
-        // fully spent on expired tokens; the driver's handshake wait
-        // (`pump_until_patient`, 400 ms) must outlast it.
+        // fully spent when the park never comes; the client's handshake
+        // wait (`pump_until_patient`, 400 ms) must outlast it.
         resume_claim_wait: Duration::from_millis(150),
         // The breaker guards the SMT rung, unused under `Fast` — and it
         // would drag in process-global clock state.
@@ -837,15 +829,7 @@ pub fn run_seed(seed: u64, cfg: &SimtestConfig) -> SeedOutcome {
     let mut server_cfg = explorer_server_config(clock, pf);
     server_cfg.wire = cfg.wire;
     let handle = spawn_with(net.transport(), Arc::clone(&fx.model), server_cfg);
-    let mut world = World {
-        net: net.clone(),
-        vc: Some(Arc::clone(&vc)),
-        clients: (0..cfg.clients).map(Client::new).collect(),
-        violations: Vec::new(),
-        real_idle: Duration::ZERO,
-        stall_limit: STALL_LIMIT,
-        wire: cfg.wire,
-    };
+    let mut world = World::new(net.clone(), Some(vc), cfg.clients, cfg.wire);
     // Initial handshakes run before the fault profile is armed: every
     // session lineage starts from a clean Welcome.
     for i in 0..cfg.clients {
@@ -890,12 +874,6 @@ pub fn run_seed(seed: u64, cfg: &SimtestConfig) -> SeedOutcome {
     }
 
     world.final_drain();
-    if vc.valve_trips() > 0 {
-        world.violations.push(format!(
-            "virtual-clock valve tripped {}x (a sleeper waited >5s real time)",
-            vc.valve_trips()
-        ));
-    }
     let _ = handle.shutdown();
     net.close();
     world.into_outcome(seed)
@@ -923,15 +901,7 @@ fn run_bug_scenario(seed: u64, bug: ProtocolBug) -> SeedOutcome {
     // Real clock here: TTL and backoffs must be real-time sane.
     server_cfg.parked_ttl = Duration::from_secs(30);
     let handle = spawn_with(net.transport(), Arc::clone(&fx.model), server_cfg);
-    let mut world = World {
-        net: net.clone(),
-        vc: None,
-        clients: vec![Client::new(0)],
-        violations: Vec::new(),
-        real_idle: Duration::ZERO,
-        stall_limit: STALL_LIMIT,
-        wire: WireCodec::Json,
-    };
+    let mut world = World::new(net.clone(), None, 1, WireCodec::Json);
     world.handshake(0);
     world.burst(0, 3);
     world.settle();

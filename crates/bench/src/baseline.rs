@@ -1,19 +1,15 @@
-//! `--save-baseline`-style JSON summaries of benchmark runs.
+//! `BENCH_<name>.json` summaries of timed runs.
 //!
-//! Each bench target's run is summarized as one `BENCH_<name>.json` file:
+//! A run is summarized as one file of median wall time per id:
 //!
 //! ```json
-//! {"bench":"sim_throughput",
-//!  "results":[{"id":"sim/run_ms/100","median_ns":1234567.0,"samples":20}]}
+//! {"bench":"cem_ladder",
+//!  "results":[{"id":"fault_run_enforce_window","median_ns":1234567.0,"samples":20}]}
 //! ```
 //!
-//! The schema matches what the workspace's criterion harness emits, so a
-//! file written by a bench run can be loaded back here and compared
-//! against a later run to track the repo's perf trajectory. Comparison is
-//! on **median ns/iter** — robust to the one-off outliers a busy CI host
-//! produces.
+//! `fmml fault-run --bench-out DIR` writes `BENCH_cem_ladder.json` in
+//! this schema.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// One benchmark's summary: median wall time per iteration.
@@ -33,16 +29,6 @@ pub struct Baseline {
     /// Bench target name; determines the `BENCH_<name>.json` filename.
     pub bench: String,
     pub results: Vec<BenchRecord>,
-}
-
-/// One entry of [`Baseline::compare`]: how a result moved vs a baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Delta {
-    pub id: String,
-    pub baseline_ns: f64,
-    pub current_ns: f64,
-    /// `current / baseline − 1`; positive means slower.
-    pub ratio: f64,
 }
 
 impl Baseline {
@@ -81,66 +67,9 @@ impl Baseline {
         v.to_string()
     }
 
-    /// Parse a summary previously written by [`Baseline::save`] (or by
-    /// the criterion harness, which uses the same schema).
-    pub fn from_json(s: &str) -> Result<Baseline, String> {
-        let v: serde_json::Value = serde_json::from_str(s).map_err(|e| e.to_string())?;
-        let bench = v["bench"].as_str().ok_or("missing \"bench\"")?.to_string();
-        let arr = v["results"].as_array().ok_or("missing \"results\"")?;
-        let mut results = Vec::with_capacity(arr.len());
-        for r in arr {
-            results.push(BenchRecord {
-                id: r["id"].as_str().ok_or("result missing \"id\"")?.to_string(),
-                median_ns: r["median_ns"]
-                    .as_f64()
-                    .ok_or("result missing \"median_ns\"")?,
-                samples: r["samples"].as_u64().unwrap_or(0),
-            });
-        }
-        Ok(Baseline { bench, results })
-    }
-
     /// Write `BENCH_<bench>.json` into `dir`; returns the path written.
     pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        let path = dir.join(format!("BENCH_{}.json", self.bench));
-        let mut f = std::fs::File::create(&path)?;
-        writeln!(f, "{}", self.to_json())?;
-        Ok(path)
-    }
-
-    /// Load a summary from a `BENCH_<name>.json` path.
-    pub fn load(path: &Path) -> Result<Baseline, String> {
-        let s = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        Baseline::from_json(&s)
-    }
-
-    /// Compare `self` (current run) against an earlier `baseline`, id by
-    /// id. Ids missing on either side are skipped — a bench rename is not
-    /// a regression.
-    pub fn compare(&self, baseline: &Baseline) -> Vec<Delta> {
-        self.results
-            .iter()
-            .filter_map(|cur| {
-                let base = baseline.results.iter().find(|b| b.id == cur.id)?;
-                if base.median_ns <= 0.0 {
-                    return None;
-                }
-                Some(Delta {
-                    id: cur.id.clone(),
-                    baseline_ns: base.median_ns,
-                    current_ns: cur.median_ns,
-                    ratio: cur.median_ns / base.median_ns - 1.0,
-                })
-            })
-            .collect()
-    }
-
-    /// Ids that got slower than `tolerance` (e.g. `0.10` = +10%).
-    pub fn regressions(&self, baseline: &Baseline, tolerance: f64) -> Vec<Delta> {
-        self.compare(baseline)
-            .into_iter()
-            .filter(|d| d.ratio > tolerance)
-            .collect()
+        crate::save(dir, &self.bench, &self.to_json())
     }
 }
 
@@ -156,55 +85,16 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips() {
-        let b = sample();
-        let j = b.to_json();
-        assert!(j.starts_with("{\"bench\":\"demo\""), "{j}");
-        let back = Baseline::from_json(&j).unwrap();
-        assert_eq!(back, b);
-    }
-
-    #[test]
-    fn save_writes_bench_named_file_and_load_reads_it() {
+    fn save_writes_bench_named_file() {
         let dir = std::env::temp_dir().join(format!("fmml_baseline_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
         let path = sample().save(&dir).unwrap();
-        assert!(path.file_name().unwrap().to_str().unwrap() == "BENCH_demo.json");
-        let back = Baseline::load(&path).unwrap();
-        assert_eq!(back, sample());
+        assert_eq!(path.file_name().unwrap(), "BENCH_demo.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.trim_end(), sample().to_json());
+        assert!(
+            text.starts_with("{\"bench\":\"demo\",\"results\":[{\"id\":\"cem/fast/len50\""),
+            "{text}"
+        );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn compare_flags_only_real_regressions() {
-        let base = sample();
-        let mut cur = sample();
-        cur.results[0].median_ns = 1_800.0; // +20%
-        cur.results[1].median_ns = 400_000.0; // faster
-        let deltas = cur.compare(&base);
-        assert_eq!(deltas.len(), 2);
-        let regs = cur.regressions(&base, 0.10);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].id, "cem/fast/len50");
-        assert!((regs[0].ratio - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn renamed_ids_are_skipped_not_flagged() {
-        let base = sample();
-        let mut cur = Baseline::new("demo");
-        cur.record("cem/fast/len100", 9_999_999.0, 5);
-        assert!(cur.compare(&base).is_empty());
-        assert!(cur.regressions(&base, 0.0).is_empty());
-    }
-
-    #[test]
-    fn harness_emitted_file_is_loadable() {
-        // The criterion harness writes the same schema; samples may be
-        // absent in hand-written files.
-        let j = r#"{"bench":"smt_micro","results":[{"id":"pigeonhole/5","median_ns":123.0}]}"#;
-        let b = Baseline::from_json(j).unwrap();
-        assert_eq!(b.bench, "smt_micro");
-        assert_eq!(b.results[0].samples, 0);
     }
 }

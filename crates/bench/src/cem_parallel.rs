@@ -27,8 +27,6 @@ use fmml_fm::cem::{
     self, enforce_degraded_batch, EnforceOptions, LadderConfig, LadderOutcome, SolutionCache,
 };
 use fmml_fm::WindowConstraints;
-use std::io::Write;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// One `BENCH_cem_parallel.json` payload.
@@ -96,14 +94,6 @@ impl CemParallelReport {
         v["steady_hash"] = serde_json::Value::String(format!("{:016x}", self.steady_hash));
         v["identical"] = serde_json::Value::Bool(self.identical);
         v.to_string()
-    }
-
-    /// Write `BENCH_cem_parallel.json` into `dir`; returns the path.
-    pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        let path = dir.join("BENCH_cem_parallel.json");
-        let mut f = std::fs::File::create(&path)?;
-        writeln!(f, "{}", self.to_json())?;
-        Ok(path)
     }
 
     /// `seq=… par=… speedup=… steady=… …x hit_rate=… identical=…` line.

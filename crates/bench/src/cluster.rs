@@ -22,19 +22,14 @@
 //! fields, and a written report is itself proof the survival contract
 //! held — `bench_cluster` panics on any lost interval or violation.
 
+use crate::client::{Session, SessionSpec};
 use fmml_cluster::{RouterConfig, RouterHandle};
 use fmml_core::streaming::IntervalUpdate;
 use fmml_core::transformer_imputer::TransformerImputer;
-use fmml_netsim::traffic::TrafficConfig;
-use fmml_netsim::{SimConfig, Simulation};
-use fmml_serve::protocol::{write_frame, Frame, FrameReader};
+use fmml_netsim::SimConfig;
 use fmml_serve::{
     loadgen, LoadReport, LoadgenConfig, ServerConfig, ServerHandle, TcpConnector, WireCodec,
 };
-use fmml_telemetry::{windows_from_trace, PortWindow};
-use std::io::Write as _;
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -139,14 +134,6 @@ impl ClusterBenchReport {
         v["kill_resumes"] = Value::U64(self.kill_resumes);
         v["recovery_ms"] = Value::F64(self.recovery_ms);
         v.to_string()
-    }
-
-    /// Write `BENCH_cluster.json` into `dir`; returns the path written.
-    pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        let path = dir.join("BENCH_cluster.json");
-        let mut f = std::fs::File::create(&path)?;
-        writeln!(f, "{}", self.to_json())?;
-        Ok(path)
     }
 
     /// Stderr progress lines.
@@ -272,27 +259,13 @@ fn kill_point(model: &Arc<TransformerImputer>, bc: &ClusterBenchConfig) -> (Load
     (report, migrations, resumes)
 }
 
-fn bench_window(bc: &ClusterBenchConfig) -> PortWindow {
-    let cfg = SimConfig::small();
-    let gt = Simulation::new(
-        cfg.clone(),
-        TrafficConfig::websearch_incast(cfg.num_ports, 0.6),
-        bc.seed,
-    )
-    .run_ms(360);
-    let span = bc.interval_len * bc.window_intervals * 4;
-    windows_from_trace(&gt, span, bc.interval_len, span)
-        .into_iter()
-        .find(|w| w.has_activity())
-        .expect("an active window")
-}
-
 /// Pass 3b: the surgically-timed kill. One session on a known host
 /// ("a", the only backend), a second node joins, the host dies between
 /// two intervals, and we time the stall until the next reply commits.
 /// Exactly-once is asserted through the final `ByeAck` accounting.
 fn timed_recovery(model: &Arc<TransformerImputer>, bc: &ClusterBenchConfig) -> f64 {
-    let w = bench_window(bc);
+    let span = bc.interval_len * bc.window_intervals * 4;
+    let w = crate::small_windows(360, bc.seed, span, bc.interval_len).remove(0);
     let router = fmml_cluster::spawn(RouterConfig {
         probe_interval: Duration::from_millis(50),
         probe_failures: 2,
@@ -308,46 +281,22 @@ fn timed_recovery(model: &Arc<TransformerImputer>, bc: &ClusterBenchConfig) -> f
         },
     );
 
-    let stream = TcpStream::connect(router.addr()).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    let mut tx = stream.try_clone().unwrap();
-    let mut rx = FrameReader::new(stream);
-    write_frame(
-        &mut tx,
-        &Frame::Hello {
-            tenant: "cbench".into(),
-            ports: vec![w.port],
-            queues: w.num_queues(),
-            interval_len: bc.interval_len,
-            window_intervals: bc.window_intervals,
-            resume_token: None,
-            last_acked: None,
-            codecs: None,
-        },
-    )
-    .unwrap();
-    assert!(matches!(rx.read_frame().unwrap(), Frame::Welcome { .. }));
-
+    let spec = SessionSpec {
+        tenant: "cbench",
+        port: w.port,
+        queues: w.num_queues(),
+        interval_len: bc.interval_len,
+        window_intervals: bc.window_intervals,
+        codec: WireCodec::Json,
+    };
+    let (mut session, _) = Session::open(router.addr(), &spec, None);
     let total = w.intervals().min(8);
     let split = total / 2;
-    let mut send_one = |seq: u64, k: usize, rx: &mut FrameReader<TcpStream>| {
-        let update = IntervalUpdate::from_window(&w, k);
-        write_frame(
-            &mut tx,
-            &Frame::Interval {
-                seq,
-                update,
-                trace_id: None,
-            },
-        )
-        .unwrap();
-        match rx.read_frame().unwrap() {
-            Frame::Ack { seq: s, .. } | Frame::Imputed { seq: s, .. } => assert_eq!(s, seq),
-            other => panic!("unexpected {other:?}"),
-        }
+    let mut send_one = |seq: u64, k: usize| {
+        session.step(seq, &IntervalUpdate::from_window(&w, k));
     };
     for (k, seq) in (0..split).zip(1u64..) {
-        send_one(seq, k, &mut rx);
+        send_one(seq, k);
     }
 
     let b = fmml_serve::spawn(Arc::clone(model), backend_cfg(bc)).expect("spawn backend b");
@@ -359,22 +308,12 @@ fn timed_recovery(model: &Arc<TransformerImputer>, bc: &ClusterBenchConfig) -> f
     );
     a.shutdown();
     let t0 = Instant::now();
-    send_one(split as u64 + 1, split, &mut rx);
+    send_one(split as u64 + 1, split);
     let recovery = t0.elapsed();
     for (k, seq) in (split + 1..total).zip(split as u64 + 2..) {
-        send_one(seq, k, &mut rx);
+        send_one(seq, k);
     }
-    write_frame(&mut tx, &Frame::Bye).unwrap();
-    match rx.read_frame().unwrap() {
-        Frame::ByeAck {
-            answered,
-            remaining,
-        } => {
-            assert_eq!(answered, total as u64, "kill lost an interval");
-            assert_eq!(remaining, 0);
-        }
-        other => panic!("expected ByeAck, got {other:?}"),
-    }
+    assert_eq!(session.bye(), total as u64, "kill lost an interval");
     let (migrations, _, _) = router.cluster_stats();
     assert!(migrations >= 1, "the timed kill must force a migration");
     router.shutdown();
@@ -421,17 +360,10 @@ pub fn bench_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fmml_core::transformer_imputer::Scales;
 
     #[test]
     fn tiny_cluster_bench_runs_and_serializes() {
-        let model = Arc::new(TransformerImputer::new(
-            3,
-            Scales {
-                qlen: SimConfig::small().buffer_packets as f32,
-                count: 830.0,
-            },
-        ));
+        let model = crate::serve_model();
         let bc = ClusterBenchConfig {
             clients: 2,
             intervals_per_client: 8,

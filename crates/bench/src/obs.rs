@@ -30,8 +30,6 @@ use fmml_fm::cem::{self, CemEngine, LadderConfig};
 use fmml_nn::kernel::{with_mode, KernelMode};
 use fmml_obs::trace;
 use fmml_telemetry::PortWindow;
-use std::io::Write;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Benchmark knobs.
@@ -118,12 +116,15 @@ impl ObsBenchReport {
         v.to_string()
     }
 
-    /// Write `BENCH_obs.json` into `dir`; returns the path.
-    pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        let path = dir.join("BENCH_obs.json");
-        let mut f = std::fs::File::create(&path)?;
-        writeln!(f, "{}", self.to_json())?;
-        Ok(path)
+    /// The determinism contract: tracing changed no output bit.
+    pub fn contract(&self) -> Result<(), String> {
+        if self.identical {
+            return Ok(());
+        }
+        Err(format!(
+            "tracing perturbed outputs: serve {:016x}/{:016x} train {:016x}/{:016x}",
+            self.serve_hash_off, self.serve_hash_on, self.train_hash_off, self.train_hash_on
+        ))
     }
 
     /// One-line human summary.
@@ -142,26 +143,6 @@ impl ObsBenchReport {
             self.dropped,
         )
     }
-}
-
-/// A replayable single-port interval stream (same construction as the
-/// load generator's, minus the wire).
-fn replay_updates(bc: &ObsBenchConfig) -> (Vec<PortWindow>, Vec<IntervalUpdate>) {
-    let ws = train_windows(bc.sim_ms, bc.seed);
-    assert!(!ws.is_empty(), "no active windows for the obs bench");
-    let port = ws[0].port;
-    let mut updates = Vec::with_capacity(bc.serve_intervals);
-    'outer: loop {
-        for w in ws.iter().filter(|w| w.port == port) {
-            for k in 0..w.intervals() {
-                updates.push(IntervalUpdate::from_window(w, k));
-                if updates.len() >= bc.serve_intervals {
-                    break 'outer;
-                }
-            }
-        }
-    }
-    (ws, updates)
 }
 
 /// One timed serve-path pass: replay every update through a fresh
@@ -240,7 +221,7 @@ pub fn bench_obs(bc: &ObsBenchConfig) -> ObsBenchReport {
     assert!(bc.repeats >= 1);
     let was_enabled = trace::enabled();
     let ws = train_windows(bc.sim_ms, bc.seed);
-    let (_, updates) = replay_updates(bc);
+    let (updates, _, _) = crate::interval_stream(&ws, bc.serve_intervals);
     let model = {
         // A tiny trained model so the serve path's forward pass does
         // real GEMM work (an untrained model would too, but training it

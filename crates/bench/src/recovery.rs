@@ -18,22 +18,16 @@
 //!    resumption in play the run must end with zero lost and zero
 //!    unsent intervals.
 //!
-//! Like the serving benchmark, contract violations panic so CI fails
-//! loud, and the JSON is flat so CI can grep single fields.
+//! Contract violations panic so CI fails loud, and the JSON is flat so
+//! CI can grep single fields.
 
+use crate::client::{Replies, Session, SessionSpec};
 use fmml_core::streaming::IntervalUpdate;
 use fmml_core::transformer_imputer::TransformerImputer;
 use fmml_fault::ProcessFaultPlan;
-use fmml_fm::cem::hash_u32_series;
-use fmml_netsim::traffic::TrafficConfig;
-use fmml_netsim::{SimConfig, Simulation};
-use fmml_serve::protocol::{write_frame, Frame, FrameReader};
+use fmml_netsim::SimConfig;
+use fmml_serve::protocol::Frame;
 use fmml_serve::{loadgen, ChaosConfig, LoadgenConfig, ServerConfig, WireCodec};
-use fmml_telemetry::{windows_from_trace, PortWindow};
-use std::collections::BTreeMap;
-use std::io::Write;
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -163,14 +157,6 @@ impl RecoveryBenchReport {
         v.to_string()
     }
 
-    /// Write `BENCH_recovery.json` into `dir`; returns the path written.
-    pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        let path = dir.join("BENCH_recovery.json");
-        let mut f = std::fs::File::create(&path)?;
-        writeln!(f, "{}", self.to_json())?;
-        Ok(path)
-    }
-
     /// Human-readable stderr summary.
     pub fn summary(&self) -> String {
         let mut s = String::new();
@@ -204,65 +190,9 @@ impl RecoveryBenchReport {
     }
 }
 
-/// Flat interval stream over the first active port of a simulated trace.
-fn stream(cfg: &RecoveryBenchConfig) -> (Vec<IntervalUpdate>, usize, usize) {
-    let sim = SimConfig::small();
-    let gt = Simulation::new(
-        sim.clone(),
-        TrafficConfig::websearch_incast(sim.num_ports, 0.6),
-        cfg.seed,
-    )
-    .run_ms(720);
-    let wlen = cfg.interval_len * cfg.window_intervals;
-    let ws: Vec<PortWindow> = windows_from_trace(&gt, wlen, cfg.interval_len, wlen)
-        .into_iter()
-        .filter(|w| w.has_activity())
-        .collect();
-    assert!(!ws.is_empty(), "recovery bench trace has no active windows");
-    let port = ws[0].port;
-    let queues = ws[0].num_queues();
-    let mut updates = Vec::with_capacity(cfg.intervals);
-    'outer: loop {
-        for w in ws.iter().filter(|w| w.port == port) {
-            for k in 0..w.intervals() {
-                updates.push(IntervalUpdate::from_window(w, k));
-                if updates.len() >= cfg.intervals {
-                    break 'outer;
-                }
-            }
-        }
-    }
-    (updates, port, queues)
-}
-
-fn connect(addr: std::net::SocketAddr) -> (TcpStream, FrameReader<TcpStream>) {
-    let stream = TcpStream::connect(addr).expect("connect recovery client");
-    stream.set_nodelay(true).expect("nodelay");
-    let reader = FrameReader::new(stream.try_clone().expect("clone"));
-    (stream, reader)
-}
-
-fn hello_frame(
-    port: usize,
-    queues: usize,
-    cfg: &RecoveryBenchConfig,
-    resume: Option<(&str, u64)>,
-) -> Frame {
-    Frame::Hello {
-        tenant: "recovery".into(),
-        ports: vec![port],
-        queues,
-        interval_len: cfg.interval_len,
-        window_intervals: cfg.window_intervals,
-        resume_token: resume.map(|(t, _)| t.to_string()),
-        last_acked: resume.map(|(_, a)| a),
-        codecs: None,
-    }
-}
-
 /// What a lockstep pass produced, beyond the replies themselves.
 struct PassOutcome {
-    replies: BTreeMap<u64, Vec<Vec<u32>>>,
+    replies: Replies,
     worker_panics: u64,
     worker_restarts: u64,
     resumes: u64,
@@ -299,24 +229,24 @@ fn lockstep_pass(
     .expect("spawn recovery bench server");
     let addr = handle.addr();
 
-    let mut replies: BTreeMap<u64, Vec<Vec<u32>>> = BTreeMap::new();
-    let record = |replies: &mut BTreeMap<u64, Vec<Vec<u32>>>, seq: u64, series: Vec<Vec<u32>>| {
-        if let Some(prev) = replies.insert(seq, series) {
-            assert_eq!(
-                Some(&prev),
-                replies.get(&seq),
-                "duplicate reply for seq {seq} diverged"
-            );
-        }
+    let spec = SessionSpec {
+        tenant: "recovery",
+        port,
+        queues,
+        interval_len: cfg.interval_len,
+        window_intervals: cfg.window_intervals,
+        codec: WireCodec::Json,
+    };
+    let (mut session, welcome) = Session::open(addr, &spec, None);
+    let Frame::Welcome {
+        resume_token: Some(token),
+        ..
+    } = welcome
+    else {
+        panic!("expected a resumable Welcome, got {welcome:?}");
     };
 
-    let (mut tx, mut rx) = connect(addr);
-    write_frame(&mut tx, &hello_frame(port, queues, cfg, None)).expect("hello");
-    let token = match rx.read_frame().expect("welcome") {
-        Frame::Welcome { resume_token, .. } => resume_token.expect("resumable server"),
-        other => panic!("expected Welcome, got {other:?}"),
-    };
-
+    let mut replies = Replies::default();
     let cut = if kill_connection {
         updates.len() / 2
     } else {
@@ -326,28 +256,15 @@ fn lockstep_pass(
     let mut idx = 0usize;
     while idx < updates.len() {
         let seq = idx as u64 + 1;
-        write_frame(
-            &mut tx,
-            &Frame::Interval {
-                seq,
-                update: updates[idx].clone(),
-                trace_id: None,
-            },
-        )
-        .expect("send interval");
+        session.send(seq, &updates[idx]);
         idx += 1;
         if idx == cut {
             // Vanish with this seq's reply unread; the server parks the
             // session and the token brings it back.
-            drop(tx);
-            drop(rx);
-            let (mut tx2, mut rx2) = connect(addr);
-            write_frame(
-                &mut tx2,
-                &hello_frame(port, queues, cfg, Some((&token, last_read))),
-            )
-            .expect("resume hello");
-            let resume_seq = match rx2.read_frame().expect("resume welcome") {
+            drop(session);
+            let (fresh, welcome) = Session::open(addr, &spec, Some((&token, last_read)));
+            session = fresh;
+            let resume_seq = match welcome {
                 Frame::Welcome {
                     resumed,
                     resume_seq,
@@ -364,36 +281,16 @@ fn lockstep_pass(
             );
             // Replayed frames cover (last_read, resume_seq], in order.
             for expect in last_read + 1..=resume_seq {
-                match rx2.read_frame().expect("replayed frame") {
-                    Frame::Ack { seq: s, .. } => assert_eq!(s, expect),
-                    Frame::Imputed { seq: s, series, .. } => {
-                        assert_eq!(s, expect);
-                        record(&mut replies, s, series);
-                    }
-                    other => panic!("unexpected replay {other:?}"),
-                }
+                replies.record(session.reply(expect));
             }
             last_read = resume_seq;
             idx = resume_seq as usize;
-            tx = tx2;
-            rx = rx2;
             continue;
         }
-        match rx.read_frame().expect("reply") {
-            Frame::Ack { seq: s, .. } => assert_eq!(s, seq),
-            Frame::Imputed { seq: s, series, .. } => {
-                assert_eq!(s, seq);
-                record(&mut replies, s, series);
-            }
-            other => panic!("unexpected reply {other:?}"),
-        }
+        replies.record(session.reply(seq));
         last_read = seq;
     }
-    write_frame(&mut tx, &Frame::Bye).expect("bye");
-    match rx.read_frame().expect("byeack") {
-        Frame::ByeAck { remaining, .. } => assert_eq!(remaining, 0, "drain timed out"),
-        other => panic!("expected ByeAck, got {other:?}"),
-    }
+    session.bye();
 
     let (worker_panics, worker_restarts) = handle.worker_stats();
     let (resumes, replayed) = handle.resume_stats();
@@ -411,16 +308,6 @@ fn lockstep_pass(
         requeue_latencies_us,
         violations,
     }
-}
-
-fn fingerprint(replies: &BTreeMap<u64, Vec<Vec<u32>>>) -> u64 {
-    // Order-sensitive: flatten in seq order; per-series hashing keeps
-    // shape boundaries from colliding.
-    let flat: Vec<Vec<u32>> = replies
-        .values()
-        .flat_map(|series| series.iter().cloned())
-        .collect();
-    hash_u32_series(&flat)
 }
 
 fn pct(sorted: &[u64], q: f64) -> u64 {
@@ -441,7 +328,9 @@ pub fn bench_recovery(
         cfg.worker_panic_every != 1,
         "worker_panic_every = 1 poisons every retry by construction"
     );
-    let (updates, port, queues) = stream(cfg);
+    let wlen = cfg.interval_len * cfg.window_intervals;
+    let ws = crate::small_windows(720, cfg.seed, wlen, cfg.interval_len);
+    let (updates, port, queues) = crate::interval_stream(&ws, cfg.intervals);
     let enforced = updates.len() - (cfg.window_intervals - 1);
 
     // Pass 1: ground truth.
@@ -454,7 +343,11 @@ pub fn bench_recovery(
         ProcessFaultPlan::none(),
         false,
     );
-    assert_eq!(clean.replies.len(), enforced, "clean pass dropped replies");
+    assert_eq!(
+        clean.replies.answered(),
+        enforced,
+        "clean pass dropped replies"
+    );
     assert_eq!(clean.violations, 0, "clean pass shipped violations");
     assert_eq!(clean.worker_panics, 0);
 
@@ -462,7 +355,7 @@ pub fn bench_recovery(
     // connection, resumed. Same replies, bit for bit.
     let crash = lockstep_pass(&model, cfg, &updates, port, queues, cfg.faults(), true);
     assert_eq!(
-        crash.replies.len(),
+        crash.replies.answered(),
         enforced,
         "crash pass must answer every enforced interval exactly once"
     );
@@ -470,8 +363,8 @@ pub fn bench_recovery(
     assert!(crash.worker_panics >= 1, "panic cadence never fired");
     assert!(crash.worker_restarts >= 1, "supervisor never restarted");
     assert_eq!(crash.resumes, 1, "the killed connection must resume");
-    let clean_fp = fingerprint(&clean.replies);
-    let crash_fp = fingerprint(&crash.replies);
+    let clean_fp = clean.replies.fingerprint();
+    let crash_fp = crash.replies.fingerprint();
     assert_eq!(
         clean_fp, crash_fp,
         "recovered run diverged from the uninterrupted run"
@@ -531,7 +424,7 @@ pub fn bench_recovery(
         worker_restarts: crash.worker_restarts,
         resumes: crash.resumes,
         replayed: crash.replayed,
-        availability: crash.replies.len() as f64 / enforced as f64,
+        availability: crash.replies.answered() as f64 / enforced as f64,
         recovery_samples: rec.len(),
         recovery_p50_us: pct(&rec, 0.50),
         recovery_p99_us: pct(&rec, 0.99),
@@ -554,17 +447,10 @@ pub fn bench_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fmml_core::transformer_imputer::Scales;
 
     #[test]
     fn tiny_recovery_bench_runs_and_serializes() {
-        let model = Arc::new(TransformerImputer::new(
-            3,
-            Scales {
-                qlen: SimConfig::small().buffer_packets as f32,
-                count: 830.0,
-            },
-        ));
+        let model = crate::serve_model();
         let cfg = RecoveryBenchConfig {
             intervals: 12,
             worker_panic_every: 4,

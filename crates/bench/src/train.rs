@@ -23,13 +23,9 @@
 use fmml_core::train::{train, EpochStats, LossKind, TrainConfig};
 use fmml_core::transformer_imputer::{Scales, TransformerImputer};
 use fmml_fm::cem;
-use fmml_netsim::traffic::TrafficConfig;
-use fmml_netsim::{SimConfig, Simulation};
 use fmml_nn::kernel::{self, with_mode, KernelMode};
 use fmml_nn::tape;
-use fmml_telemetry::{windows_from_trace, PortWindow};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use fmml_telemetry::PortWindow;
 use std::time::Instant;
 
 /// Training windows for the benchmark: the small 8→4-port sim geometry
@@ -37,17 +33,7 @@ use std::time::Instant;
 /// shape the training-loop tests use, big enough that the encoder GEMMs
 /// dominate the wall-clock.
 pub fn train_windows(ms: u64, seed: u64) -> Vec<PortWindow> {
-    let cfg = SimConfig::small();
-    let gt = Simulation::new(
-        cfg.clone(),
-        TrafficConfig::websearch_incast(cfg.num_ports, 0.6),
-        seed,
-    )
-    .run_ms(ms);
-    windows_from_trace(&gt, 60, 10, 60)
-        .into_iter()
-        .filter(|w| w.has_activity())
-        .collect()
+    crate::small_windows(ms, seed, 60, 10)
 }
 
 /// Normalization scales matching the small sim geometry.
@@ -140,12 +126,22 @@ impl TrainBenchReport {
         v.to_string()
     }
 
-    /// Write `BENCH_train.json` into `dir`; returns the path.
-    pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        let path = dir.join("BENCH_train.json");
-        let mut f = std::fs::File::create(&path)?;
-        writeln!(f, "{}", self.to_json())?;
-        Ok(path)
+    /// The determinism contract: all three passes agree bitwise and no
+    /// epoch rolled back.
+    pub fn contract(&self) -> Result<(), String> {
+        if !self.identical {
+            return Err(format!(
+                "kernel passes diverged: reference={:016x} blocked={:016x} parallel={:016x}",
+                self.reference_hash, self.blocked_hash, self.parallel_hash
+            ));
+        }
+        if self.rollbacks > 0 {
+            return Err(format!(
+                "{} epoch(s) rolled back during a clean benchmark run",
+                self.rollbacks
+            ));
+        }
+        Ok(())
     }
 
     /// One-line human summary.

@@ -19,20 +19,12 @@
 //! The JSON layout is flat (`imputed_bin1_encode_ns`,
 //! `fingerprint_match`, …) so CI can grep single fields.
 
+use crate::client::{Replies, Session, SessionSpec};
 use fmml_core::streaming::IntervalUpdate;
 use fmml_core::transformer_imputer::TransformerImputer;
-use fmml_fm::cem::hash_u32_series;
-use fmml_netsim::traffic::TrafficConfig;
-use fmml_netsim::{SimConfig, Simulation};
-use fmml_serve::protocol::{
-    decode_frame, encode_frame_with, write_frame_with, Frame, FrameReader, WireCodec, MAX_FRAME_LEN,
-};
+use fmml_netsim::SimConfig;
+use fmml_serve::protocol::{decode_frame, encode_frame_with, Frame, WireCodec, MAX_FRAME_LEN};
 use fmml_serve::{loadgen, LoadReport, LoadgenConfig, ServerConfig};
-use fmml_telemetry::{windows_from_trace, PortWindow};
-use std::collections::BTreeMap;
-use std::io::Write;
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -133,14 +125,6 @@ impl WireBenchReport {
         v.to_string()
     }
 
-    /// Write `BENCH_wire.json` into `dir`; returns the path written.
-    pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        let path = dir.join("BENCH_wire.json");
-        let mut f = std::fs::File::create(&path)?;
-        writeln!(f, "{}", self.to_json())?;
-        Ok(path)
-    }
-
     /// A few lines for stderr progress.
     pub fn summary(&self) -> String {
         let mut s = String::new();
@@ -212,38 +196,6 @@ impl Default for WireBenchConfig {
     }
 }
 
-/// Realistic interval stream over the first active port of a simulated
-/// trace (same recipe as the recovery bench).
-fn stream(cfg: &WireBenchConfig) -> (Vec<IntervalUpdate>, usize, usize) {
-    let sim = SimConfig::small();
-    let gt = Simulation::new(
-        sim.clone(),
-        TrafficConfig::websearch_incast(sim.num_ports, 0.6),
-        cfg.seed,
-    )
-    .run_ms(720);
-    let wlen = cfg.interval_len * cfg.window_intervals;
-    let ws: Vec<PortWindow> = windows_from_trace(&gt, wlen, cfg.interval_len, wlen)
-        .into_iter()
-        .filter(|w| w.has_activity())
-        .collect();
-    assert!(!ws.is_empty(), "wire bench trace has no active windows");
-    let port = ws[0].port;
-    let queues = ws[0].num_queues();
-    let mut updates = Vec::with_capacity(cfg.intervals);
-    'outer: loop {
-        for w in ws.iter().filter(|w| w.port == port) {
-            for k in 0..w.intervals() {
-                updates.push(IntervalUpdate::from_window(w, k));
-                if updates.len() >= cfg.intervals {
-                    break 'outer;
-                }
-            }
-        }
-    }
-    (updates, port, queues)
-}
-
 /// Mean ns/op over `iters` runs of `f`, `black_box`ed so the serializer
 /// loop cannot be optimized away.
 fn time_ns<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
@@ -291,78 +243,30 @@ fn lockstep_fingerprint(
         },
     )
     .expect("spawn wire bench server");
-    let stream = TcpStream::connect(handle.addr()).expect("connect wire bench client");
-    stream.set_nodelay(true).expect("nodelay");
-    let mut rx = FrameReader::new(stream.try_clone().expect("clone"));
-    let mut tx = stream;
-
-    // The Hello always travels JSON; `codecs` is the advertisement.
-    write_frame_with(
-        &mut tx,
-        &Frame::Hello {
-            tenant: "wire".into(),
-            ports: vec![port],
-            queues,
-            interval_len: cfg.interval_len,
-            window_intervals: cfg.window_intervals,
-            resume_token: None,
-            last_acked: None,
-            codecs: (codec == WireCodec::Bin1).then(WireCodec::advertise),
-        },
-        WireCodec::Json,
-    )
-    .expect("hello");
-    match rx.read_frame().expect("welcome") {
-        Frame::Welcome { codec: picked, .. } => {
-            let picked = picked
-                .as_deref()
-                .and_then(WireCodec::parse)
-                .unwrap_or_default();
-            assert_eq!(
-                picked, codec,
-                "negotiation must land on the codec under test"
-            );
-        }
-        other => panic!("expected Welcome, got {other:?}"),
+    let spec = SessionSpec {
+        tenant: "wire",
+        port,
+        queues,
+        interval_len: cfg.interval_len,
+        window_intervals: cfg.window_intervals,
+        codec,
+    };
+    let (mut session, _) = Session::open(handle.addr(), &spec, None);
+    assert_eq!(
+        session.codec(),
+        codec,
+        "negotiation must land on the codec under test"
+    );
+    let mut replies = Replies::default();
+    for (seq, u) in (1u64..).zip(updates) {
+        replies.record(session.step(seq, u));
     }
-
-    let mut replies: BTreeMap<u64, Vec<Vec<u32>>> = BTreeMap::new();
-    for (idx, u) in updates.iter().enumerate() {
-        let seq = idx as u64 + 1;
-        write_frame_with(
-            &mut tx,
-            &Frame::Interval {
-                seq,
-                update: u.clone(),
-                trace_id: None,
-            },
-            codec,
-        )
-        .expect("send interval");
-        match rx.read_frame().expect("reply") {
-            Frame::Ack { seq: s, .. } => assert_eq!(s, seq),
-            Frame::Imputed { seq: s, series, .. } => {
-                assert_eq!(s, seq);
-                replies.insert(s, series);
-            }
-            other => panic!("unexpected reply {other:?}"),
-        }
-    }
-    write_frame_with(&mut tx, &Frame::Bye, codec).expect("bye");
-    match rx.read_frame().expect("byeack") {
-        Frame::ByeAck { remaining, .. } => assert_eq!(remaining, 0, "drain timed out"),
-        other => panic!("expected ByeAck, got {other:?}"),
-    }
+    session.bye();
     match handle.shutdown() {
         Frame::StatsReply { violations, .. } => assert_eq!(violations, 0),
         other => panic!("expected StatsReply, got {other:?}"),
     }
-
-    let flat: Vec<Vec<u32>> = replies
-        .values()
-        .flat_map(|series| series.iter().cloned())
-        .collect();
-    hash_u32_series(&flat)
+    replies.fingerprint()
 }
 
 fn e2e_point(
@@ -406,7 +310,9 @@ fn e2e_point(
 /// Run the full wire benchmark; panics on cross-codec divergence so CI
 /// fails loud.
 pub fn bench_wire(model: Arc<TransformerImputer>, cfg: &WireBenchConfig) -> WireBenchReport {
-    let (updates, port, queues) = stream(cfg);
+    let wlen = cfg.interval_len * cfg.window_intervals;
+    let ws = crate::small_windows(720, cfg.seed, wlen, cfg.interval_len);
+    let (updates, port, queues) = crate::interval_stream(&ws, cfg.intervals);
 
     // Microbench frames: the hottest update in the stream (largest
     // serialized size) and the Imputed reply the model produces for it.
@@ -482,17 +388,10 @@ pub fn bench_wire(model: Arc<TransformerImputer>, cfg: &WireBenchConfig) -> Wire
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fmml_core::transformer_imputer::Scales;
 
     #[test]
     fn tiny_bench_runs_and_serializes() {
-        let model = Arc::new(TransformerImputer::new(
-            3,
-            Scales {
-                qlen: SimConfig::small().buffer_packets as f32,
-                count: 830.0,
-            },
-        ));
+        let model = crate::serve_model();
         let cfg = WireBenchConfig {
             iters: 50,
             intervals: 6,

@@ -2,10 +2,14 @@
 
 use std::collections::HashMap;
 
-/// Parsed command line: a subcommand plus `--key value` / `--flag` pairs.
+/// Parsed command line: a command, the suite of `bench`, and
+/// `--key value` / `--flag` pairs.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     pub command: Option<String>,
+    /// The word after `bench` (`fmml bench wire`); no other command
+    /// takes a positional argument.
+    pub subcommand: Option<String>,
     values: HashMap<String, String>,
     flags: Vec<String>,
 }
@@ -15,10 +19,9 @@ impl Args {
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
         let mut out = Args::default();
         let mut it = argv.into_iter().peekable();
-        if let Some(first) = it.peek() {
-            if !first.starts_with("--") {
-                out.command = it.next();
-            }
+        out.command = it.next_if(|a| !a.starts_with("--"));
+        if out.command.as_deref() == Some("bench") {
+            out.subcommand = it.next_if(|a| !a.starts_with("--"));
         }
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
@@ -94,6 +97,17 @@ mod tests {
         let a = parse("simulate --ms abc").unwrap();
         assert!(a.get::<u64>("ms").is_err());
         assert!(parse("simulate stray").is_err());
+    }
+
+    #[test]
+    fn only_bench_takes_a_subcommand() {
+        let a = parse("bench wire --out dir").unwrap();
+        assert_eq!(a.command.as_deref(), Some("bench"));
+        assert_eq!(a.subcommand.as_deref(), Some("wire"));
+        assert_eq!(a.get_string("out"), Some("dir"));
+        assert_eq!(parse("bench --out dir").unwrap().subcommand, None);
+        assert!(parse("bench wire stray").is_err());
+        assert!(parse("serve wire").is_err());
     }
 
     #[test]

@@ -11,15 +11,14 @@
 //! fmml fault-run --seed 7 --jobs 4 [--smt] [--bench-out DIR] # chaos mode
 //! fmml serve     --addr 127.0.0.1:4700 [--max-secs N]        # streaming server
 //! fmml cluster   --addr 127.0.0.1:4710 --backends 3          # sharded serving
-//! fmml cluster-bench --out bench                             # BENCH_cluster.json
 //! fmml loadgen   --addr 127.0.0.1:4700 --clients 8 [--chaos] # trace replay
-//! fmml serve-bench --out bench                               # BENCH_serve.json
-//! fmml recovery-bench --out bench                            # BENCH_recovery.json
-//! fmml train-bench --out bench                               # BENCH_train.json
 //! fmml obs       --addr 127.0.0.1:4700 [--json]              # live introspection
-//! fmml obs-bench --out bench                                 # BENCH_obs.json
 //! fmml simtest   --seeds 500 [--inject-bug replay-off-by-one] # DST explorer
+//! fmml bench     wire [--out bench]                          # BENCH_wire.json
 //! ```
+//!
+//! The client-observed serving benchmark is the separate `ledger/`
+//! package (`cargo run --release --manifest-path ledger/Cargo.toml`).
 //!
 //! Every command accepts the global observability flags: `--stats` prints
 //! the metrics-registry table to stderr on exit, `--stats-json FILE`
@@ -33,12 +32,6 @@ use args::Args;
 use error::CliError;
 use fmml_bench::baseline::Baseline;
 use fmml_bench::cem_parallel::{bench_ladder, CemParallelReport};
-use fmml_bench::cluster::{bench_cluster, ClusterBenchConfig};
-use fmml_bench::obs::{bench_obs, ObsBenchConfig};
-use fmml_bench::recovery::{bench_recovery, RecoveryBenchConfig};
-use fmml_bench::serve::{bench_serve, ServeBenchConfig};
-use fmml_bench::train::bench_train;
-use fmml_bench::wire::{bench_wire, WireBenchConfig};
 use fmml_core::eval::{generate_windows, run_table1, EvalConfig};
 use fmml_core::imputer::Imputer;
 use fmml_core::train::{train, train_from};
@@ -60,7 +53,7 @@ use fmml_serve::{ChaosConfig, LoadgenConfig, ServerConfig, WireCodec};
 use fmml_smt::solver::Budget;
 use fmml_telemetry::{sanitize_series, sanitize_window, SanitizeConfig, SanitizeReport};
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
@@ -121,52 +114,12 @@ COMMANDS:
              exercise live migration; 0 = off)
              --wire json|bin1 (json; router + backends prefer the same
              codec, binary sessions pass through without re-encoding)
-  cluster-bench
-             cluster benchmark: direct single node vs 1 router + N
-             backends (unpaced capacity), a paced pass with one backend
-             killed mid-run (asserts zero lost intervals), and a timed
-             kill measuring client-visible recovery_ms; writes
-             BENCH_cluster.json (CI gates speedup >= 1.8 on the 4-core
-             runner only — see the report's \"cores\" field)
-             --out DIR (bench)  --backends N (3)  --clients N (8)
-             --intervals N (40)  --deadline-ms N (50)  --seed N (41)
   loadgen    drive a running server with concurrent trace-replay clients
              --addr A (required)  --clients N (8)  --intervals N (40)
              --seed N (11)  --deadline-ms N (50)  --pace-ms N
              --wire json|bin1 (json; bin1 advertises the binary codec)
              --chaos (standard >= 10% disturbance preset)
              --report-json FILE (write the flat LoadReport JSON)
-  serve-bench
-             loopback serving benchmark: spawn a server, sweep client
-             concurrency, re-run under chaos; writes BENCH_serve.json
-             --out DIR (bench)  --clients A,B,C (1,8,32)  --intervals N (40)
-             --deadline-ms N (50)  --workers N (2)  --jobs N (1)  --seed N (41)
-  wire-bench wire-codec benchmark: JSON vs binary (bin1) encode/decode
-             on the hot frames, a cross-codec lockstep pass asserting
-             bitwise-identical reply content, and end-to-end loadgen
-             under both codecs; writes BENCH_wire.json (CI gates the
-             imputed enc+dec speedup >= 1.5 on the 4-core runner only —
-             see the report's \"cores\" field)
-             --out DIR (bench)  --iters N (20000)  --intervals N (24)
-             --clients N (4)  --loadgen-intervals N (30)
-             --deadline-ms N (50)  --seed N (41)
-  recovery-bench
-             crash-recovery benchmark: clean lockstep fingerprint, then
-             the same stream under injected worker panics / solver
-             stalls / slow writes with a mid-stream kill + resume, then
-             a chaos swarm with process faults; asserts exactly-once
-             bitwise-identical replies and writes BENCH_recovery.json
-             --out DIR (bench)  --intervals N (36)  --workers N (2)
-             --worker-panic-every N (8)  --solver-stall-every N (9)
-             --slow-write-every N (7)  --chaos-clients N (4)
-             --deadline-ms N (50)  --seed N (41)
-  train-bench
-             three-pass training benchmark: scalar-reference kernels vs
-             blocked vs blocked+parallel on the same data; asserts all
-             passes land on bit-identical parameters/outputs and writes
-             BENCH_train.json; exits non-zero on fingerprint divergence
-             or any epoch rollback
-             --out DIR (bench)  --epochs N (3)  --ms N (800)  --seed N (7)
   obs        query a running server for its live metrics registry, trace
              summaries, and SLO gauges (sends a MetricsDump frame)
              --addr A (127.0.0.1:4700)  --json (raw dump instead of tables)
@@ -194,12 +147,24 @@ COMMANDS:
                              prove the checker is live: exits 0 iff the
                              deliberately broken replay is caught and
                              reproduced bitwise from the printed seed
-  obs-bench  tracing on/off differential benchmark: the same serve replay
-             and training pass with tracing disabled then enabled,
-             interleaved; asserts bit-identical outputs and writes
-             BENCH_obs.json (CI gates max_overhead <= 1.05)
-             --out DIR (bench)  --repeats N (3)  --intervals N (120)
-             --epochs N (2)  --ms N (480)  --seed N (23)  --jobs N (2)
+  bench      run one benchmark suite at its fixed configuration and write
+             DIR/BENCH_<suite>.json; exits non-zero if the suite's
+             determinism or delivery contract breaks (the CI thresholds
+             live in .github/bench_gate.py)
+             fmml bench <suite> [--out DIR (bench)], suites:
+             train     scalar-reference vs blocked vs blocked+parallel
+                       training; bit-identical parameters asserted
+             obs       tracing off/on differential on the serve and train
+                       paths; bit-identical outputs asserted
+             recovery  clean vs crash lockstep fingerprints (worker panics,
+                       solver stalls, slow writes, a resumed disconnect),
+                       then a chaos swarm; exactly-once asserted
+             cluster   direct node vs router + 3 backends, a mid-run
+                       backend kill and a timed migration; zero lost
+             wire      JSON vs bin1 codec microbench, cross-codec lockstep
+                       fingerprint, end-to-end loadgen under each codec
+             The client-observed serving benchmark is the ledger:
+             cargo run --release --manifest-path ledger/Cargo.toml
 
 GLOBAL FLAGS:
   --stats            print the metrics table to stderr on exit
@@ -238,19 +203,11 @@ fn main() {
         "fault-run" => cmd_fault_run(&args),
         "serve" => cmd_serve(&args),
         "cluster" => cmd_cluster(&args),
-        "cluster-bench" => cmd_cluster_bench(&args),
         "loadgen" => cmd_loadgen(&args),
-        "serve-bench" => cmd_serve_bench(&args),
-        "wire-bench" => cmd_wire_bench(&args),
-        "recovery-bench" => cmd_recovery_bench(&args),
-        "train-bench" => cmd_train_bench(&args),
         "obs" => cmd_obs(&args),
-        "obs-bench" => cmd_obs_bench(&args),
         "simtest" => cmd_simtest(&args),
-        _ => {
-            println!("{USAGE}");
-            return;
-        }
+        "bench" => cmd_bench(&args),
+        other => Err(CliError::Usage(format!("unknown command {other:?}"))),
     };
     log_event!("cli.done", "command" = command, "ok" = result.is_ok());
     if let Err(e) = emit_stats(&args) {
@@ -532,10 +489,7 @@ fn run_ladder(
 ) -> Result<(Vec<LadderOutcome>, Option<CemParallelReport>), CliError> {
     if let Some(dir) = bench_dir {
         let (outs, report) = bench_ladder(items, cfg, jobs, use_cache);
-        std::fs::create_dir_all(dir).map_err(|e| CliError::io(dir, e))?;
-        let path = report
-            .save(Path::new(dir))
-            .map_err(|e| CliError::io(dir, e))?;
+        let path = save_report(dir, "cem_parallel", &report.to_json())?;
         eprintln!("bench report written to {}", path.display());
         if !report.identical {
             return Err(CliError::Invalid(format!(
@@ -680,9 +634,6 @@ fn cmd_enforce(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The serving model: `--model FILE` loads a checkpoint; otherwise a
-/// deterministic untrained imputer seeded by `--seed` (scaled for the
-/// `SimConfig::small()` traces the load generator replays).
 /// Parse `--wire json|bin1` (default json — byte-identical to pre-v2).
 fn parse_wire(args: &Args) -> Result<WireCodec, CliError> {
     match args.get_string("wire") {
@@ -692,6 +643,9 @@ fn parse_wire(args: &Args) -> Result<WireCodec, CliError> {
     }
 }
 
+/// The serving model: `--model FILE` loads a checkpoint; otherwise a
+/// deterministic untrained imputer seeded by `--seed` (scaled for the
+/// `SimConfig::small()` traces the load generator replays).
 fn serve_model(args: &Args) -> Result<std::sync::Arc<TransformerImputer>, CliError> {
     match args.get_string("model") {
         Some(path) => {
@@ -701,16 +655,7 @@ fn serve_model(args: &Args) -> Result<std::sync::Arc<TransformerImputer>, CliErr
             })?;
             Ok(std::sync::Arc::new(model))
         }
-        None => {
-            let sim = SimConfig::small();
-            Ok(std::sync::Arc::new(TransformerImputer::new(
-                args.get_or("seed", 3u64)?,
-                Scales {
-                    qlen: sim.buffer_packets as f32,
-                    count: 830.0,
-                },
-            )))
-        }
+        None => Ok(fmml_bench::untrained_model(args.get_or("seed", 3u64)?)),
     }
 }
 
@@ -911,32 +856,6 @@ fn cmd_cluster(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `fmml cluster-bench`: the benchmark behind `BENCH_cluster.json` —
-/// direct-vs-cluster capacity, a mid-run backend kill (zero lost
-/// intervals asserted inside `bench_cluster`), and the timed-recovery
-/// pass.
-fn cmd_cluster_bench(args: &Args) -> Result<(), CliError> {
-    let dir = args.get_string("out").unwrap_or("bench");
-    let mut bc = ClusterBenchConfig::default();
-    bc.backends = args.get_or("backends", bc.backends)?;
-    bc.clients = args.get_or("clients", bc.clients)?;
-    bc.intervals_per_client = args.get_or("intervals", bc.intervals_per_client)?;
-    bc.deadline = Duration::from_millis(args.get_or("deadline-ms", 50u64)?);
-    bc.seed = args.get_or("seed", bc.seed)?;
-    if bc.backends == 0 {
-        return Err(CliError::Usage("--backends must be at least 1".into()));
-    }
-    let model = serve_model(args)?;
-    let report = bench_cluster(model, &bc);
-    eprint!("{}", report.summary());
-    std::fs::create_dir_all(dir).map_err(|e| CliError::io(dir, e))?;
-    let path = report
-        .save(Path::new(dir))
-        .map_err(|e| CliError::io(dir, e))?;
-    println!("bench report written to {}", path.display());
-    Ok(())
-}
-
 /// `fmml loadgen`: concurrent trace-replay clients against a running
 /// server, optionally under the standard chaos preset. Prints the
 /// aggregate report table; `--report-json FILE` writes the flat JSON
@@ -987,155 +906,6 @@ fn cmd_loadgen(args: &Args) -> Result<(), CliError> {
             report.unknown_levels
         )));
     }
-    Ok(())
-}
-
-/// `fmml serve-bench`: the loopback serving benchmark behind
-/// `BENCH_serve.json` — a concurrency sweep plus a chaos re-run.
-fn cmd_serve_bench(args: &Args) -> Result<(), CliError> {
-    let dir = args.get_string("out").unwrap_or("bench");
-    let mut bc = ServeBenchConfig::default();
-    if let Some(list) = args.get_string("clients") {
-        bc.client_counts = list
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<usize>()
-                    .map_err(|_| CliError::Usage(format!("--clients: bad count {s:?}")))
-            })
-            .collect::<Result<_, _>>()?;
-        if bc.client_counts.is_empty() {
-            return Err(CliError::Usage("--clients needs at least one count".into()));
-        }
-    }
-    bc.intervals_per_client = args.get_or("intervals", bc.intervals_per_client)?;
-    bc.deadline = Duration::from_millis(args.get_or("deadline-ms", 50u64)?);
-    bc.workers = args.get_or("workers", bc.workers)?;
-    bc.jobs = args.get_or("jobs", bc.jobs)?;
-    bc.seed = args.get_or("seed", bc.seed)?;
-    let model = serve_model(args)?;
-    let report = bench_serve(model, &bc);
-    eprint!("{}", report.summary());
-    std::fs::create_dir_all(dir).map_err(|e| CliError::io(dir, e))?;
-    let path = report
-        .save(Path::new(dir))
-        .map_err(|e| CliError::io(dir, e))?;
-    println!("bench report written to {}", path.display());
-    Ok(())
-}
-
-/// `fmml wire-bench`: the wire-codec benchmark behind
-/// `BENCH_wire.json` — JSON vs binary encode/decode microbench on the
-/// hot frames, a cross-codec lockstep fingerprint pass (asserted
-/// bitwise-equal inside `bench_wire`), and end-to-end loadgen under
-/// both codecs.
-fn cmd_wire_bench(args: &Args) -> Result<(), CliError> {
-    let dir = args.get_string("out").unwrap_or("bench");
-    let mut bc = WireBenchConfig::default();
-    bc.iters = args.get_or("iters", bc.iters)?;
-    bc.intervals = args.get_or("intervals", bc.intervals)?;
-    bc.clients = args.get_or("clients", bc.clients)?;
-    bc.loadgen_intervals = args.get_or("loadgen-intervals", bc.loadgen_intervals)?;
-    bc.deadline = Duration::from_millis(args.get_or("deadline-ms", 50u64)?);
-    bc.seed = args.get_or("seed", bc.seed)?;
-    let model = serve_model(args)?;
-    let report = bench_wire(model, &bc);
-    eprint!("{}", report.summary());
-    log_event!(
-        "wire_bench.done",
-        "imputed_encdec_speedup" = report.imputed_encdec_speedup(),
-        "fingerprint_match" = report.fingerprint_match,
-    );
-    std::fs::create_dir_all(dir).map_err(|e| CliError::io(dir, e))?;
-    let path = report
-        .save(Path::new(dir))
-        .map_err(|e| CliError::io(dir, e))?;
-    println!("bench report written to {}", path.display());
-    Ok(())
-}
-
-/// `fmml recovery-bench`: the crash-recovery benchmark behind
-/// `BENCH_recovery.json` — clean-vs-crash fingerprint passes plus a
-/// chaos swarm with process faults. `bench_recovery` panics on any
-/// contract violation (lost reply, fingerprint divergence, shipped
-/// constraint violation), so a written report is itself the proof the
-/// recovery contract held.
-fn cmd_recovery_bench(args: &Args) -> Result<(), CliError> {
-    let dir = args.get_string("out").unwrap_or("bench");
-    let mut bc = RecoveryBenchConfig::default();
-    bc.intervals = args.get_or("intervals", bc.intervals)?;
-    bc.deadline = Duration::from_millis(args.get_or("deadline-ms", 50u64)?);
-    bc.workers = args.get_or("workers", bc.workers)?;
-    bc.worker_panic_every = args.get_or("worker-panic-every", bc.worker_panic_every)?;
-    bc.solver_stall_every = args.get_or("solver-stall-every", bc.solver_stall_every)?;
-    bc.solver_stall_ms = args.get_or("solver-stall-ms", bc.solver_stall_ms)?;
-    bc.slow_write_every = args.get_or("slow-write-every", bc.slow_write_every)?;
-    bc.slow_write_ms = args.get_or("slow-write-ms", bc.slow_write_ms)?;
-    bc.chaos_clients = args.get_or("chaos-clients", bc.chaos_clients)?;
-    bc.chaos_intervals = args.get_or("chaos-intervals", bc.chaos_intervals)?;
-    bc.seed = args.get_or("seed", bc.seed)?;
-    if bc.worker_panic_every == 1 {
-        return Err(CliError::Usage(
-            "--worker-panic-every must be >= 2 (every retry would repanic)".into(),
-        ));
-    }
-    let model = serve_model(args)?;
-    let report = bench_recovery(model, &bc);
-    eprint!("{}", report.summary());
-    log_event!(
-        "recovery_bench.done",
-        "fingerprint_match" = report.fingerprint_match,
-        "worker_restarts" = report.worker_restarts,
-        "recovery_p99_us" = report.recovery_p99_us,
-        "chaos_lost" = report.chaos_lost,
-    );
-    std::fs::create_dir_all(dir).map_err(|e| CliError::io(dir, e))?;
-    let path = report
-        .save(Path::new(dir))
-        .map_err(|e| CliError::io(dir, e))?;
-    println!("bench report written to {}", path.display());
-    Ok(())
-}
-
-/// `fmml train-bench`: the three-pass kernel benchmark behind
-/// `BENCH_train.json` — the same training run on the scalar reference
-/// kernels, the blocked kernels, and the blocked+parallel path.
-///
-/// The passes must land on bit-identical parameters, imputed series, and
-/// epoch losses (the canonical summation-order contract of
-/// `fmml_nn::kernel`); any fingerprint divergence or epoch rollback is a
-/// hard error.
-fn cmd_train_bench(args: &Args) -> Result<(), CliError> {
-    let dir = args.get_string("out").unwrap_or("bench");
-    let epochs: usize = args.get_or("epochs", 3usize)?;
-    let ms: u64 = args.get_or("ms", 800u64)?;
-    let seed: u64 = args.get_or("seed", 7u64)?;
-    let (_, report) = bench_train(ms, seed, epochs);
-    eprintln!("{}", report.summary());
-    log_event!(
-        "train_bench.done",
-        "identical" = report.identical,
-        "blocked_speedup" = report.blocked_speedup,
-        "parallel_speedup" = report.parallel_speedup,
-        "rollbacks" = report.rollbacks,
-    );
-    if !report.identical {
-        return Err(CliError::Invalid(format!(
-            "kernel passes diverged: reference={:016x} blocked={:016x} parallel={:016x}",
-            report.reference_hash, report.blocked_hash, report.parallel_hash
-        )));
-    }
-    if report.rollbacks > 0 {
-        return Err(CliError::Invalid(format!(
-            "{} epoch(s) rolled back during a clean benchmark run",
-            report.rollbacks
-        )));
-    }
-    std::fs::create_dir_all(dir).map_err(|e| CliError::io(dir, e))?;
-    let path = report
-        .save(Path::new(dir))
-        .map_err(|e| CliError::io(dir, e))?;
-    println!("bench report written to {}", path.display());
     Ok(())
 }
 
@@ -1240,45 +1010,32 @@ fn render_obs_dump(dump: &serde_json::Value) -> String {
     out
 }
 
-/// `fmml obs-bench`: the tracing on/off differential behind
-/// `BENCH_obs.json`. Bit-divergent outputs between the traced and
-/// untraced passes are a hard error; the overhead ratio is reported for
-/// CI to gate (wall-clock noise makes an in-process assertion flaky).
-fn cmd_obs_bench(args: &Args) -> Result<(), CliError> {
+/// `fmml bench <suite>`: run one of [`fmml_bench::SUITES`] at its fixed
+/// configuration and write `BENCH_<suite>.json` into `--out DIR`. A
+/// suite whose contract breaks panics or returns an error before
+/// anything is written.
+fn cmd_bench(args: &Args) -> Result<(), CliError> {
+    let suites = fmml_bench::SUITES.join("|");
+    let suite = args
+        .subcommand
+        .as_deref()
+        .ok_or_else(|| CliError::Usage(format!("usage: fmml bench <{suites}> [--out DIR]")))?;
+    let report = fmml_bench::run_suite(suite)
+        .ok_or_else(|| {
+            CliError::Usage(format!("unknown bench suite {suite:?} (suites: {suites})"))
+        })?
+        .map_err(CliError::Invalid)?;
+    eprintln!("{}", report.summary.trim_end());
+    log_event!("cli.bench.done", "suite" = suite);
     let dir = args.get_string("out").unwrap_or("bench");
-    let defaults = ObsBenchConfig::default();
-    let bc = ObsBenchConfig {
-        sim_ms: args.get_or("ms", defaults.sim_ms)?,
-        seed: args.get_or("seed", defaults.seed)?,
-        serve_intervals: args.get_or("intervals", defaults.serve_intervals)?,
-        jobs: args.get_or("jobs", defaults.jobs)?,
-        epochs: args.get_or("epochs", defaults.epochs)?,
-        repeats: args.get_or("repeats", defaults.repeats)?,
-    };
-    let report = bench_obs(&bc);
-    eprintln!("{}", report.summary());
-    log_event!(
-        "obs_bench.done",
-        "identical" = report.identical,
-        "max_overhead" = report.max_overhead,
-        "spans" = report.spans,
-        "dropped" = report.dropped,
-    );
-    if !report.identical {
-        return Err(CliError::Invalid(format!(
-            "tracing perturbed outputs: serve {:016x}/{:016x} train {:016x}/{:016x}",
-            report.serve_hash_off,
-            report.serve_hash_on,
-            report.train_hash_off,
-            report.train_hash_on
-        )));
-    }
-    std::fs::create_dir_all(dir).map_err(|e| CliError::io(dir, e))?;
-    let path = report
-        .save(Path::new(dir))
-        .map_err(|e| CliError::io(dir, e))?;
+    let path = save_report(dir, suite, &report.json)?;
     println!("bench report written to {}", path.display());
     Ok(())
+}
+
+/// Write a bench report as `DIR/BENCH_<bench>.json`; returns its path.
+fn save_report(dir: &str, bench: &str, json: &str) -> Result<PathBuf, CliError> {
+    fmml_bench::save(Path::new(dir), bench, json).map_err(|e| CliError::io(dir, e))
 }
 
 /// Chaos mode: drive the full pipeline through seeded fault injection

@@ -199,6 +199,31 @@ fn usage_errors_exit_with_code_2() {
 }
 
 #[test]
+fn unknown_commands_fail_instead_of_printing_usage() {
+    // A retired verb in a stale script must not "pass" silently.
+    let (_, stderr, code) = fmml_code(&["serve-bench"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown command"), "{stderr}");
+    let (_, stderr, code) = fmml_code(&["bench", "nope"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    for suite in ["train", "obs", "recovery", "cluster", "wire"] {
+        assert!(stderr.contains(suite), "suite {suite} not listed: {stderr}");
+    }
+    let (_, stderr, code) = fmml_code(&["bench"]);
+    assert_eq!(code, Some(2), "{stderr}");
+}
+
+#[test]
+fn bench_wire_writes_its_report() {
+    let dir = std::env::temp_dir().join(format!("fmml_cli_bench_{}", std::process::id()));
+    let (_, stderr, ok) = fmml(&["bench", "wire", "--out", dir.to_str().unwrap()]);
+    assert!(ok, "bench wire failed: {stderr}");
+    let json = std::fs::read_to_string(dir.join("BENCH_wire.json")).expect("report written");
+    assert!(json.contains("\"fingerprint_match\":1"), "{json}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn malformed_model_json_fails_with_actionable_error() {
     let dir = std::env::temp_dir().join(format!("fmml_cli_badmodel_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

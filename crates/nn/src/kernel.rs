@@ -27,7 +27,9 @@
 //! `NaN`, `0·∞` must be `NaN`) and could flip `-0.0` sums. A kernel
 //! that hides NaNs defeats the training loop's non-finite rollback
 //! guard — exactly the "ML silently violating known semantics" failure
-//! mode this repo exists to close.
+//! mode this repo exists to close. NaN outputs are rewritten to one
+//! canonical quiet NaN in every kernel's epilogue, so the identity holds
+//! bit for bit even where the hardware would pick different NaN payloads.
 //!
 //! The active implementation is selected per *thread* via
 //! [`with_mode`]; worker threads spawned by the vendored rayon start at
@@ -110,13 +112,29 @@ fn record(m: usize, k: usize, n: usize) {
     FMAS.add((m * k * n) as u64);
 }
 
+/// Bit pattern every NaN output is rewritten to (positive quiet NaN).
+const CANONICAL_NAN_BITS: u32 = 0x7fc0_0000;
+
+/// Shared per-element epilogue of every kernel: the optional `scale`
+/// multiply, then NaN canonicalization. Rust leaves the sign and payload
+/// of a NaN produced by arithmetic unspecified, and an optimizing build
+/// may commute the operands of `acc + a·b`, so two kernels that follow
+/// the summation order can still differ in *which* NaN they return
+/// (x86 yields `0xffc00000` for `∞ − ∞` but propagates the first NaN
+/// operand of an addition). Rewriting through the integer domain keeps
+/// the bitwise-identity contract over NaN outputs too.
 #[inline]
-fn apply_scale(out: &mut [f32], opts: &GemmOpts) {
+fn epilogue(out: &mut [f32], opts: &GemmOpts) {
     if let Some(s) = opts.scale {
         if s != 1.0 {
             for v in out.iter_mut() {
                 *v *= s;
             }
+        }
+    }
+    for v in out.iter_mut() {
+        if v.is_nan() {
+            *v = f32::from_bits(CANONICAL_NAN_BITS);
         }
     }
 }
@@ -183,7 +201,7 @@ fn reference_nn(
             out[i * n + j] = acc;
         }
     }
-    apply_scale(out, opts);
+    epilogue(out, opts);
 }
 
 fn blocked_nn(
@@ -221,7 +239,7 @@ fn blocked_nn(
             pb = pe;
         }
     }
-    apply_scale(out, opts);
+    epilogue(out, opts);
 }
 
 // ------------------------------------------------------------------ NT
@@ -278,7 +296,7 @@ fn reference_nt(
             out[i * n + j] = acc;
         }
     }
-    apply_scale(out, opts);
+    epilogue(out, opts);
 }
 
 fn blocked_nt(
@@ -338,7 +356,7 @@ fn blocked_nt(
         }
         j0 = j1;
     }
-    apply_scale(out, opts);
+    epilogue(out, opts);
 }
 
 // ------------------------------------------------------------------ TN
@@ -374,7 +392,7 @@ pub fn gemm_tn(
                     out[i * n + j] = acc;
                 }
             }
-            apply_scale(out, &opts);
+            epilogue(out, &opts);
         }
         KernelMode::Blocked | KernelMode::BlockedParallel => {
             for i in 0..m {
@@ -390,7 +408,7 @@ pub fn gemm_tn(
                     }
                 }
             }
-            apply_scale(out, &opts);
+            epilogue(out, &opts);
         }
     }
 }

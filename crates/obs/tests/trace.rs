@@ -5,10 +5,24 @@
 //! The journal registry and counters are process-global and the harness
 //! runs tests concurrently, so every assertion here is scoped to trace
 //! ids this test minted (or is a race-safe lower bound on a counter).
+//! The on/off switch is process-global too: every test holds [`SWITCH`]
+//! for its whole body via [`tracing`].
 
 use fmml_obs::trace::{self, TraceContext};
 use rayon::prelude::*;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// Serializes the tests of this file around the global trace switch.
+static SWITCH: Mutex<()> = Mutex::new(());
+
+/// Take the switch and turn tracing `on` or off until the guard drops.
+fn tracing(on: bool) -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the switch itself is still sound.
+    let guard = SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+    trace::set_enabled(on);
+    guard
+}
 
 fn my_spans(snap: &trace::TraceSnapshot, trace_id: u64) -> Vec<trace::SpanInfo> {
     snap.spans
@@ -20,11 +34,7 @@ fn my_spans(snap: &trace::TraceSnapshot, trace_id: u64) -> Vec<trace::SpanInfo> 
 
 #[test]
 fn disabled_tracing_records_nothing() {
-    // Tests run concurrently and others enable tracing; serialize on a
-    // best-effort "currently off" window by checking ids stay zero.
-    if trace::enabled() {
-        return; // another test owns the global switch right now
-    }
+    let _switch = tracing(false);
     let s = trace::span("off.root");
     assert_eq!(s.context(), TraceContext::NONE);
     assert_eq!(s.trace_id(), 0);
@@ -43,7 +53,7 @@ fn disabled_tracing_records_nothing() {
 
 #[test]
 fn raii_spans_nest_with_parent_linkage() {
-    trace::set_enabled(true);
+    let _switch = tracing(true);
     let root_ctx;
     let child_ctx;
     {
@@ -85,7 +95,7 @@ fn raii_spans_nest_with_parent_linkage() {
 
 #[test]
 fn context_propagates_into_rayon_workers() {
-    trace::set_enabled(true);
+    let _switch = tracing(true);
     let trace_id;
     {
         let root = trace::root("par.root");
@@ -117,7 +127,7 @@ fn context_propagates_into_rayon_workers() {
 
 #[test]
 fn retroactive_records_attach_to_a_trace() {
-    trace::set_enabled(true);
+    let _switch = tracing(true);
     let trace_id = trace::alloc_trace_id();
     let parent = TraceContext {
         trace_id,
@@ -157,7 +167,7 @@ fn retroactive_records_attach_to_a_trace() {
 
 #[test]
 fn ring_overflow_drops_oldest_and_counts() {
-    trace::set_enabled(true);
+    let _switch = tracing(true);
     let before = fmml_obs::trace::TRACE_DROPPED.get();
     // Push well past one ring's capacity from a dedicated thread so the
     // overflow is attributable to exactly these writes. Counter deltas
@@ -188,7 +198,7 @@ fn ring_overflow_drops_oldest_and_counts() {
 
 #[test]
 fn snapshots_race_safely_with_a_live_writer() {
-    trace::set_enabled(true);
+    let _switch = tracing(true);
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let writer = {
         let stop = stop.clone();
@@ -228,7 +238,7 @@ fn snapshots_race_safely_with_a_live_writer() {
 
 #[test]
 fn dump_json_exposes_trace_section() {
-    trace::set_enabled(true);
+    let _switch = tracing(true);
     {
         let _root = trace::root("dump.root");
         let _child = trace::span("dump.child");

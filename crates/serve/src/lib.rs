@@ -32,8 +32,8 @@
 //!   deadline-miss rate against the wire period.
 //!
 //! Everything is instrumented through `fmml-obs` (`serve.*` metrics);
-//! `fmml_bench::serve` drives a loopback server through the load
-//! generator at 1/8/32 clients to produce `BENCH_serve.json`.
+//! the `ledger/` benchmark drives a server through open-loop clients
+//! and reports client-observed latency per stage.
 
 pub mod loadgen;
 pub mod protocol;

@@ -1,16 +1,19 @@
 //! Discrete-event engine: a time-ordered event queue with stable tie-breaking.
 
-use crate::packet::{Packet, PortId};
+use crate::packet::PortId;
 use crate::units::Time;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Events driving the simulation forward.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Events carry indices, not packets: a traffic source has at most one
+/// arrival pending, so the simulation keeps that packet in a per-source
+/// slot and the heap entries stay small.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
-    /// A packet arrives at the switch; `source` identifies the traffic
-    /// source to pull the next arrival from.
-    Arrival { pkt: Packet, source: usize },
+    /// The pending packet of traffic source `.0` arrives at the switch.
+    Arrival(usize),
     /// An egress port finished serializing a packet and may pick the next.
     TxComplete(PortId),
     /// A 1 ms ground-truth snapshot boundary.

@@ -7,8 +7,11 @@
 //! `netsim.pkts_dropped.buffer_full` / `.threshold` (admission failures
 //! split by cause), and the `netsim.sim_sec_wall_ms` histogram (wall-clock
 //! milliseconds per simulated second, one sample per [`Simulation::run_ms`]).
-//! All of it is lock-free counter bumps; when nothing snapshots the
-//! registry the cost is one relaxed atomic add per event.
+//! The counts are kept in the [`Simulation`] and added to the global
+//! counters once, when [`Simulation::run_ms`] returns. Adding to a
+//! process-global counter per event would make simulations on different
+//! threads contend for its cache line on every event, so that two
+//! concurrent simulations take as long as two serial ones.
 
 use fmml_obs::{log_event, Counter, Histogram, Unit};
 
@@ -20,7 +23,7 @@ use crate::queue::OutputQueue;
 use crate::scheduler::Scheduler;
 use crate::trace::GroundTruth;
 use crate::traffic::{TrafficConfig, TrafficSource};
-use crate::units::{Time, NANOS_PER_MILLI};
+use crate::units::{Duration, Time, NANOS_PER_MILLI};
 
 /// Discrete events popped off the simulation queue.
 static EVENTS: Counter = Counter::new("netsim.events");
@@ -32,6 +35,32 @@ static DROPPED_BUFFER_FULL: Counter = Counter::new("netsim.pkts_dropped.buffer_f
 static DROPPED_THRESHOLD: Counter = Counter::new("netsim.pkts_dropped.threshold");
 /// Wall-clock cost of simulation, normalized to one simulated second.
 static SIM_SEC_WALL_MS: Histogram = Histogram::new("netsim.sim_sec_wall_ms", Unit::Millis);
+
+/// One run's counts, published to the global counters when it ends.
+#[derive(Debug, Default)]
+struct RunCounts {
+    events: u64,
+    enqueued: u64,
+    dropped_buffer_full: u64,
+    dropped_threshold: u64,
+}
+
+impl RunCounts {
+    fn publish(&self) {
+        for (counter, n) in [
+            (&EVENTS, self.events),
+            (&PKTS_ENQUEUED, self.enqueued),
+            (&DROPPED_BUFFER_FULL, self.dropped_buffer_full),
+            (&DROPPED_THRESHOLD, self.dropped_threshold),
+        ] {
+            // A counter registers on its first add: skipping zeros keeps
+            // never-seen causes out of metric dumps.
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+    }
+}
 
 /// A complete simulation instance: switch state + traffic + event loop.
 ///
@@ -47,6 +76,14 @@ pub struct Simulation {
     /// Whether each egress port is currently serializing a packet.
     port_busy: Vec<bool>,
     sources: Vec<Box<dyn TrafficSource>>,
+    /// Each source's one scheduled packet, named by its `Event::Arrival`.
+    pending: Vec<Option<Packet>>,
+    /// Serialization time of a `cfg.packet_bytes` packet.
+    pkt_tx: Duration,
+    /// Scratch queue lengths for schedulers and snapshots, reused so the
+    /// event loop does not allocate.
+    lens: Vec<u32>,
+    counts: RunCounts,
     trace: GroundTruth,
     /// Horizon: arrivals at or beyond this time are not scheduled.
     horizon: Time,
@@ -72,6 +109,10 @@ impl Simulation {
         let trace = GroundTruth::new(cfg.num_ports, cfg.queues_per_port);
         Simulation {
             port_busy: vec![false; cfg.num_ports],
+            pending: vec![None; sources.len()],
+            pkt_tx: cfg.pkt_tx_time(),
+            lens: Vec::with_capacity(nq),
+            counts: RunCounts::default(),
             cfg,
             events: EventQueue::new(),
             queues,
@@ -86,7 +127,6 @@ impl Simulation {
     /// Run for `ms` milliseconds of simulated time and return the trace.
     pub fn run_ms(mut self, ms: u64) -> GroundTruth {
         let wall_start = std::time::Instant::now();
-        let events_start = EVENTS.get();
         self.horizon = Time::from_ms(ms);
         // Prime one pending arrival per source.
         for i in 0..self.sources.len() {
@@ -101,16 +141,20 @@ impl Simulation {
                 .events
                 .pop()
                 .expect("event queue drained before final snapshot");
-            EVENTS.inc();
+            self.counts.events += 1;
             match event {
-                Event::Arrival { pkt, source } => {
+                Event::Arrival(source) => {
+                    let pkt = self.pending[source]
+                        .take()
+                        .expect("arrival without a pending packet");
                     self.refill_source(source);
                     self.on_arrival(pkt, time);
                 }
                 Event::TxComplete(port) => self.on_tx_complete(port, time),
                 Event::Snapshot => {
-                    let lens: Vec<u32> = self.queues.iter().map(|q| q.len()).collect();
-                    self.trace.end_bin(&lens, self.buffer.occupied());
+                    self.lens.clear();
+                    self.lens.extend(self.queues.iter().map(OutputQueue::len));
+                    self.trace.end_bin(&self.lens, self.buffer.occupied());
                     bins_done += 1;
                     if bins_done < ms {
                         self.events
@@ -119,6 +163,7 @@ impl Simulation {
                 }
             }
         }
+        self.counts.publish();
         if ms > 0 {
             let wall = wall_start.elapsed();
             // Normalize to wall-ns per simulated second so runs of any
@@ -132,7 +177,7 @@ impl Simulation {
                 "netsim.run",
                 "sim_ms" = ms,
                 "wall_ms" = wall.as_secs_f64() * 1e3,
-                "events" = EVENTS.get() - events_start,
+                "events" = self.counts.events,
             );
         }
         self.trace
@@ -145,8 +190,8 @@ impl Simulation {
                 // Sources may start "in the past" relative to a popped
                 // event only if they violate time ordering; guard in debug.
                 debug_assert!(pkt.arrival >= self.events.now());
-                self.events
-                    .schedule(pkt.arrival, Event::Arrival { pkt, source: i });
+                self.pending[i] = Some(pkt);
+                self.events.schedule(pkt.arrival, Event::Arrival(i));
             }
         }
     }
@@ -158,7 +203,7 @@ impl Simulation {
         if self.buffer.admits(pkt.class.0, qlen) {
             self.queues[qid].enqueue(pkt);
             self.buffer.on_enqueue();
-            PKTS_ENQUEUED.inc();
+            self.counts.enqueued += 1;
             self.trace.observe_qlen(qid, self.queues[qid].len());
             let port = pkt.dst_port;
             if !self.port_busy[port] {
@@ -166,9 +211,9 @@ impl Simulation {
             }
         } else {
             if self.buffer.occupied() >= self.buffer.capacity() {
-                DROPPED_BUFFER_FULL.inc();
+                self.counts.dropped_buffer_full += 1;
             } else {
-                DROPPED_THRESHOLD.inc();
+                self.counts.dropped_threshold += 1;
             }
             self.queues[qid].record_drop();
             self.trace.record_drop(pkt.dst_port);
@@ -185,10 +230,13 @@ impl Simulation {
     /// begin serializing (work conservation).
     fn start_transmission(&mut self, port: PortId, now: Time) {
         let base = port * self.cfg.queues_per_port;
-        let lens: Vec<u32> = (0..self.cfg.queues_per_port)
-            .map(|i| self.queues[base + i].len())
-            .collect();
-        if let Some(local) = self.schedulers[port].select(&lens) {
+        self.lens.clear();
+        self.lens.extend(
+            self.queues[base..base + self.cfg.queues_per_port]
+                .iter()
+                .map(OutputQueue::len),
+        );
+        if let Some(local) = self.schedulers[port].select(&self.lens) {
             let qid = base + local;
             let pkt = self.queues[qid]
                 .dequeue()
@@ -196,7 +244,12 @@ impl Simulation {
             self.buffer.on_dequeue();
             self.trace.observe_qlen(qid, self.queues[qid].len());
             self.port_busy[port] = true;
-            let done = now + self.cfg.port_rate.tx_time(pkt.size_bytes);
+            let tx = if pkt.size_bytes == self.cfg.packet_bytes {
+                self.pkt_tx
+            } else {
+                self.cfg.port_rate.tx_time(pkt.size_bytes)
+            };
+            let done = now + tx;
             self.events.schedule(done, Event::TxComplete(port));
         }
     }

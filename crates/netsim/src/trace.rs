@@ -11,7 +11,7 @@ use crate::packet::{PortId, QueueId};
 use serde::{Deserialize, Serialize};
 
 /// Fine-grained (1 ms) ground truth of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroundTruth {
     num_ports: usize,
     queues_per_port: usize,

@@ -4,8 +4,12 @@
 //! function of `(config, traffic, seed)` — the differential and
 //! determinism suites both assume two runs at the same seed see the
 //! same windows. These tests pin that down: for three fixed seeds and
-//! three workloads, the FNV-1a fingerprint of every queue-length series
-//! and every per-port drop series must match the blessed constant.
+//! three small-geometry workloads, the FNV-1a fingerprint of every
+//! queue-length series and every per-port drop series must match the
+//! blessed constant. A second table pins what the benchmark simulates:
+//! paper geometry (8 ports × 2 queues, websearch + incast at load 0.5)
+//! over 2300 ms, the benchmark's segment length, fingerprinting every
+//! recorded series.
 //!
 //! **Blessing a change.** If you *intentionally* change simulator
 //! behaviour (scheduler, buffer policy, traffic model, RNG), rerun with
@@ -15,7 +19,7 @@
 //! ```
 //!
 //! and paste the printed `("…", seed, 0x…)` rows over the `GOLDEN`
-//! table below. Never bless to silence a failure you can't explain —
+//! table and the printed `(seed, 0x…)` rows over `GOLDEN_PAPER`. Never bless to silence a failure you can't explain —
 //! an unplanned hash change means nondeterminism or an accidental
 //! behaviour change, and either one invalidates the CEM benchmarks.
 
@@ -61,6 +65,27 @@ fn trace_hash(traffic: &TrafficConfig, seed: u64) -> u64 {
     hash_u32_series(&series)
 }
 
+/// Fingerprint one paper-geometry run over every series the trace
+/// records: per-queue length and within-bin maximum, per-port received,
+/// sent and dropped counts, and the shared-buffer occupancy.
+fn paper_trace_hash(seed: u64) -> u64 {
+    let cfg = SimConfig::paper_default();
+    let traffic = TrafficConfig::websearch_incast(cfg.num_ports, 0.5);
+    let gt = Simulation::new(cfg, traffic, seed).run_ms(2300);
+    let mut series: Vec<Vec<u32>> = Vec::new();
+    for q in 0..gt.num_queues() {
+        series.push(gt.queue_len_series(q).to_vec());
+        series.push(gt.queue_max_series(q).to_vec());
+    }
+    for p in 0..gt.num_ports() {
+        series.push(gt.received_series(p).to_vec());
+        series.push(gt.sent_series(p).to_vec());
+        series.push(gt.dropped_series(p).to_vec());
+    }
+    series.push(gt.buffer_occupancy_series().to_vec());
+    hash_u32_series(&series)
+}
+
 /// Blessed fingerprints: `(workload, seed, fnv1a64)`.
 const GOLDEN: [(&str, u64, u64); 9] = [
     ("websearch", 7, 0xd5be40c68ab1f7da),
@@ -100,6 +125,34 @@ fn golden_traces_match_blessed_hashes() {
     assert!(
         failures.is_empty(),
         "golden traces diverged (see header for the bless procedure):\n  {}",
+        failures.join("\n  ")
+    );
+}
+
+/// Blessed paper-geometry fingerprints: `(seed, fnv1a64)`.
+const GOLDEN_PAPER: [(u64, u64); 3] = [
+    (7, 0xdaf0d820299173b1),
+    (21, 0x5d30e3788833cced),
+    (1234, 0xe07cee03c95137e6),
+];
+
+#[test]
+fn paper_geometry_traces_match_blessed_hashes() {
+    let bless = std::env::var("FMML_BLESS").is_ok();
+    let mut failures = Vec::new();
+    for (seed, want) in GOLDEN_PAPER {
+        let got = paper_trace_hash(seed);
+        if bless {
+            println!("    ({seed}, 0x{got:016x}),");
+        } else if got != want {
+            failures.push(format!(
+                "seed {seed}: hash 0x{got:016x} != blessed 0x{want:016x}"
+            ));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "paper-geometry traces diverged (see header for the bless procedure):\n  {}",
         failures.join("\n  ")
     );
 }
